@@ -3,12 +3,18 @@
 Everything here works on plain ints: a state set is a bit mask over state
 positions, a move set a bit mask over move ids.  Move ids are assigned in
 canonical order (state-major, then lexicographic on the coalition action
-tuple), so ascending bit order *is* canonical iteration order.
+tuple), so ascending bit order *is* canonical iteration order and the moves
+of one state form a contiguous id range.
+
+The predecessor operators run backwards over a reverse index, the moves that
+can reach each state, so a caller whose target only grows pays for the
+states it adds instead of a sweep over every move.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 
 from .icgs import bits
 
@@ -26,32 +32,30 @@ class CoalitionIndex:
         # Enumerate coalition moves in canonical order.
         move_state = []
         move_action = []
-        moves_at = []
+        moves_at = []  # per state: the range of its move ids
         lookup = {}
         for i, q in enumerate(model.states):
-            ids = []
+            first = len(move_state)
             picks = [model.protocol[ag].get(q, ()) for ag in gamma]
             for combo in sorted(itertools.product(*picks)):
-                mid = len(move_state)
-                lookup[(i, combo)] = mid
+                lookup[(i, combo)] = len(move_state)
                 move_state.append(i)
                 move_action.append(combo)
-                ids.append(mid)
-            moves_at.append(ids)
+            moves_at.append(range(first, len(move_state)))
         self.move_state = move_state
         self.move_action = move_action
         self.moves_at = moves_at
         self._lookup = lookup
-        self.all_moves_mask = (1 << len(move_state)) - 1
-        self.state_moves = [0] * n
-        for m, si in enumerate(move_state):
-            self.state_moves[si] |= 1 << m
+        n_moves = len(move_state)
+        self.all_moves_mask = (1 << n_moves) - 1
+        self._move_bytes = (n_moves + 7) // 8
 
-        # Successors of each move over all completions by the other agents,
-        # and the plain post relation (successors of each state).
-        others = [ag for ag in model.agents if ag not in gamma]
+        # Successors of each move over all completions by the other agents;
+        # the reverse index: per state, the moves with that state among their
+        # successors, each listed once; and the plain post relation.
         gamma_pos = [model._agent_pos[ag] for ag in gamma]
-        succ = [0] * len(move_state)
+        succ = [0] * n_moves
+        pred = [array("i") for _ in range(n)]
         post = [0] * n
         for i, q in enumerate(model.states):
             proto = [model.protocol[ag].get(q, ()) for ag in model.agents]
@@ -61,12 +65,23 @@ class CoalitionIndex:
                 target = model.transition.get((q, joint))
                 if target is None:
                     continue
-                bit = 1 << model._state_pos[target]
+                t = model._state_pos[target]
+                bit = 1 << t
                 post[i] |= bit
-                combo = tuple(joint[p] for p in gamma_pos)
-                succ[lookup[(i, combo)]] |= bit
+                mid = lookup[(i, tuple(joint[p] for p in gamma_pos))]
+                if not succ[mid] & bit:
+                    succ[mid] |= bit
+                    pred[t].append(mid)
         self.succ_mask = succ
+        self.pred_moves = pred
         self.post_mask = post
+        # A move without successors surely enters every target, the empty
+        # one included.
+        self.stuck_moves = self.stuck_states = 0
+        for m, s in enumerate(succ):
+            if not s:
+                self.stuck_moves |= 1 << m
+                self.stuck_states |= 1 << move_state[m]
 
         # Observation machinery per coalition agent.
         self.tok = []           # per agent: token per state position
@@ -119,9 +134,16 @@ class CoalitionIndex:
                 % (tuple(picks), state)) from None
 
     def moves_of(self, qmask):
+        # One range per run of consecutive states: their moves are adjacent.
         out = 0
-        for i in bits(qmask):
-            out |= self.state_moves[i]
+        moves_at = self.moves_at
+        while qmask:
+            low = qmask & -qmask
+            carry = qmask + low  # clears the run of set bits starting at low
+            first = low.bit_length() - 1
+            stop = (carry & -carry).bit_length() - 1
+            out |= (1 << moves_at[stop - 1].stop) - (1 << moves_at[first].start)
+            qmask &= carry
         return out
 
     def cover(self, movemask):
@@ -151,28 +173,42 @@ class CoalitionIndex:
                 out |= 1 << i
         return out
 
-    def pre_move(self, target_states):
-        """Moves all of whose completions land in ``target_states``."""
-        out = 0
-        outside = ~target_states
-        succ = self.succ_mask
-        for m in range(len(succ)):
-            if succ[m] & outside == 0:
-                out |= 1 << m
-        return out
+    def _mask(self, move_ids):
+        """The move mask of an iterable of move ids, built in one pass."""
+        buf = bytearray(self._move_bytes)
+        for m in move_ids:
+            buf[m >> 3] |= 1 << (m & 7)
+        return int.from_bytes(buf, "little")
 
-    def pre_ce(self, target_states, among=None):
-        """States with some enabled coalition action surely entering the target.
+    def pre_move(self, target_states, known=0, known_moves=0):
+        """Moves all of whose completions land in ``target_states``.
 
-        ``among`` restricts which states are examined (callers that only need
-        part of the answer skip the rest).
+        ``known`` is an optional subset of the target whose answer
+        ``known_moves == pre_move(known)`` the caller already holds, e.g.
+        from the target it grew from.  A move that surely enters the target
+        but not ``known`` has a successor among the added states, so only
+        their predecessors are examined.  With ``known == 0`` the answer
+        starts from the moves without any successor, which belong to the
+        answer for every target.
         """
+        if not known:
+            known_moves = self.stuck_moves
+        outside = ~target_states
+        succ = self.succ_mask
+        pred = self.pred_moves
+        found = [m for s in bits(target_states & ~known) for m in pred[s]
+                 if succ[m] & outside == 0]
+        if not found:
+            return known_moves
+        return known_moves | self._mask(found)
+
+    def pre_ce(self, target_states):
+        """States with some enabled coalition action surely entering the target."""
         out = 0
         outside = ~target_states
         succ = self.succ_mask
-        candidates = range(self.n_states) if among is None else bits(among)
-        for i in candidates:
-            for m in bits(self.state_moves[i]):
+        for i, ids in enumerate(self.moves_at):
+            for m in ids:
                 if succ[m] & outside == 0:
                     out |= 1 << i
                     break
@@ -181,35 +217,45 @@ class CoalitionIndex:
     def filter_ceu(self, q1mask, q2mask, stats=None, floor=0):
         """Least fixpoint of ``Z -> q2 | (q1 & pre_ce(Z))`` (memoised).
 
-        ``floor`` must be a known subset of the result (e.g. the fixpoint of
-        a smaller target); iteration then starts there instead of at ``q2``.
+        ``floor`` is optional and must be a previous result for the same
+        ``q1`` and a target contained in ``q2``.  Such a result is closed:
+        no state of ``q1`` outside it has a move surely entering it.  The
+        worklist therefore starts from the states of ``q2`` outside the
+        floor, and a target inside the floor returns the floor at once.
+        Each round examines only the predecessors of the states the round
+        before added; ``stats.fixpoint_iterations`` counts these rounds.
         """
         key = (q1mask, q2mask)
         hit = self._filter_memo.get(key)
         if hit is not None:
             return hit
-        z = q2mask | floor
-        iterations = 0
-        while True:
-            iterations += 1
-            gain = self.pre_ce(z, among=q1mask & ~z)
-            nz = z | (q1mask & gain)
-            if nz == z:
-                break
-            z = nz
+        z = q2mask | floor | (q1mask & self.stuck_states)
+        frontier = z & ~floor
+        if not frontier:
+            return floor
+        succ = self.succ_mask
+        pred = self.pred_moves
+        move_state = self.move_state
+        rounds = 0
+        while frontier:
+            rounds += 1
+            open_states = q1mask & ~z
+            outside = ~z
+            gain = 0
+            for s in bits(frontier):
+                for m in pred[s]:
+                    bit = 1 << move_state[m]
+                    if open_states & bit and succ[m] & outside == 0:
+                        gain |= bit
+                        open_states ^= bit
+            z |= gain
+            frontier = gain
         if stats is not None:
-            stats.fixpoint_iterations += iterations
+            stats.fixpoint_iterations += rounds
         self._filter_memo[key] = z
         return z
 
     # -- conflicts and compatibility ----------------------------------------
-
-    def conflicting_pair(self, m1, m2):
-        for a in range(len(self.gamma)):
-            if (self.move_tok[a][m1] == self.move_tok[a][m2]
-                    and self.move_action[m1][a] != self.move_action[m2][a]):
-                return True
-        return False
 
     def is_conflicting(self, movemask):
         for a in range(len(self.gamma)):

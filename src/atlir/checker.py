@@ -44,6 +44,7 @@ class CheckStats:
 
     strategies_explored: int = 0
     split_calls: int = 0
+    # worklist rounds of the reach-through fixpoint (memo hits add none)
     fixpoint_iterations: int = 0
     max_depth: int = 0
 
@@ -139,8 +140,8 @@ def eval_ceu(model: Icgs, interest: StateSet, strategy: MoveSet,
         raise PreconditionViolation(
             "interest is not closed under coalition indistinguishability")
     stats = CheckStats()
-    won = _ceu_search(idx, interest.mask, strategy.mask, q1.mask, q2.mask,
-                      exclude.mask, stats)
+    won = _ceu_search(idx, interest.mask, strategy.mask, q1.mask,
+                      idx.moves_of(q1.mask), q2.mask, exclude.mask, stats)
     return StateSet(model, won)
 
 
@@ -213,10 +214,11 @@ def _eval_can_until(model, qmask, f, cache, stats):
     if sat == interest:
         return sat & qmask
     remaining = interest & ~sat
+    moves_q1 = idx.moves_of(q1)
     stats.split_calls += 1
     for seed in idx.split_all(idx.moves_of(q2), True):
         stats.strategies_explored += 1
-        sat |= _ceu_search(idx, remaining, seed, q1, q2, 0, stats)
+        sat |= _ceu_search(idx, remaining, seed, q1, moves_q1, q2, 0, stats)
         remaining = interest & ~sat
         if remaining == 0:
             break
@@ -224,38 +226,51 @@ def _eval_can_until(model, qmask, f, cache, stats):
 
 
 class _Frame:
-    __slots__ = ("interest", "strategy", "exclude", "iterator", "new_moves",
-                 "notlose")
+    """One fragment of the search, with what was derived from it.
 
-    def __init__(self, interest, strategy, exclude, notlose_floor=0):
+    ``cov`` is the fragment's coverage.  Until the frame is first visited,
+    ``known``, ``good`` and ``notlose`` hold its parent's coverage,
+    ``pre_move`` answer and not-lose set (zero for a root); the child's
+    coverage only grows, so they seed its incremental calls.
+    """
+
+    __slots__ = ("interest", "strategy", "exclude", "cov", "known", "good",
+                 "notlose", "iterator", "new_moves")
+
+    def __init__(self, interest, strategy, exclude, cov, parent=None):
         self.interest = interest
         self.strategy = strategy
         self.exclude = exclude
+        self.cov = cov
+        if parent is None:
+            self.known = self.good = self.notlose = 0
+        else:
+            self.known = parent.cov
+            self.good = parent.good
+            self.notlose = parent.notlose
         self.iterator = None
         self.new_moves = 0
-        self.notlose = notlose_floor
 
 
-def _ceu_search(idx, interest, strategy, q1mask, q2mask, exclude, stats):
+def _ceu_search(idx, interest, strategy, q1mask, moves_q1, q2mask, exclude,
+                stats):
     """Backtracking growth of one conflict-free strategy fragment.
 
     Implements the recursive search with an explicit stack: the recursion
     depth is bounded by the number of coalition moves, which can exceed the
     interpreter's limit.  ``won`` accumulates across the whole tree; every
-    resumed frame drops the states its descendants already won.  A child's
-    fragment covers more than its parent's, so the parent's not-lose set
-    seeds the child's fixpoint.
+    resumed frame drops the states its descendants already won.
+    ``moves_q1`` is ``idx.moves_of(q1mask)``.
     """
-    moves_q1 = idx.moves_of(q1mask)
     won = 0
-    stack = [_Frame(interest, strategy, exclude)]
+    stack = [_Frame(interest, strategy, exclude, idx.cover(strategy))]
     while stack:
         if len(stack) > stats.max_depth:
             stats.max_depth = len(stack)
         fr = stack[-1]
         if fr.iterator is None:
             fr.interest &= ~won
-            cov = idx.cover(fr.strategy)
+            cov = fr.cov
             notlose = idx.filter_ceu(q1mask, cov, stats, floor=fr.notlose)
             fr.notlose = notlose
             # Won: the whole class is covered by the fragment.  Lost: some
@@ -268,7 +283,8 @@ def _ceu_search(idx, interest, strategy, q1mask, q2mask, exclude, stats):
                 stack.pop()
                 continue
             fr.interest = rest
-            new_moves = (idx.pre_move(cov) & moves_q1) & ~fr.strategy & ~fr.exclude
+            fr.good = idx.pre_move(cov, fr.known, fr.good)
+            new_moves = fr.good & moves_q1 & ~fr.strategy & ~fr.exclude
             comp = idx.compatible(new_moves, fr.strategy)
             if comp == 0:
                 stack.pop()
@@ -290,5 +306,5 @@ def _ceu_search(idx, interest, strategy, q1mask, q2mask, exclude, stats):
             stats.strategies_explored += 1
             stack.append(_Frame(fr.interest, fr.strategy | sub,
                                 fr.exclude | (fr.new_moves & ~sub),
-                                notlose_floor=fr.notlose))
+                                fr.cov | idx.cover(sub), fr))
     return won

@@ -170,6 +170,10 @@ def main(argv=None) -> int:
     except (AtlirError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash is an error, never a verdict
+        print("error: internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -352,12 +352,36 @@ def _tokenize(text):
     return tokens
 
 
+# Deepest operator nesting accepted by ``parse``.  Normalisation, hashing and
+# evaluation recurse once or more per level, so without a bound a deep
+# formula exhausts the interpreter's stack.
+MAX_NESTING = 64
+
+
+def _height(f: Formula) -> int:
+    """Operator levels above the deepest leaf (iterative)."""
+    best = 0
+    todo = [(f, 0)]
+    while todo:
+        g, level = todo.pop()
+        best = max(best, level)
+        todo.extend((child, level + 1) for child in _children(g))
+    return best
+
+
 class _Parser:
     def __init__(self, text, model, macros):
         self.tokens = _tokenize(text)
         self.i = 0
         self.model = model
         self.macros = macros or {}
+        self.depth = 0  # open recursive descents: '!', '(', '->', operands
+
+    def descend(self, pos):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise FormulaSyntaxError(
+                "formula nests deeper than %d levels" % MAX_NESTING, pos)
 
     def peek(self):
         return self.tokens[self.i]
@@ -378,6 +402,11 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "eof":
             raise FormulaSyntaxError("unexpected trailing input %r" % tok[1], tok[2])
+        # Chains of binary operators nest without recursing in the parser;
+        # every level takes a token, so short formulas need no walk.
+        if len(self.tokens) > MAX_NESTING and _height(f) > MAX_NESTING:
+            raise FormulaSyntaxError(
+                "formula nests deeper than %d levels" % MAX_NESTING, 0)
         return f
 
     def parse_iff(self):
@@ -390,8 +419,9 @@ class _Parser:
     def parse_implies(self):
         f = self.parse_or()
         if self.peek()[0] == "implies":
-            self.next()
-            return Implies(f, self.parse_implies())
+            self.descend(self.next()[2])
+            f = Implies(f, self.parse_implies())
+            self.depth -= 1
         return f
 
     def parse_or(self):
@@ -410,15 +440,18 @@ class _Parser:
 
     def parse_unary(self):
         kind, text, pos = self.peek()
-        if kind == "not":
-            self.next()
-            return Not(self.parse_unary())
-        if kind in ("ldouble", "lbrack"):
-            return self.parse_strategic()
-        if kind == "lparen":
-            self.next()
-            f = self.parse_iff()
-            self.expect("rparen", "')'")
+        if kind in ("not", "ldouble", "lbrack", "lparen"):
+            self.descend(pos)
+            if kind == "not":
+                self.next()
+                f = Not(self.parse_unary())
+            elif kind == "lparen":
+                self.next()
+                f = self.parse_iff()
+                self.expect("rparen", "')'")
+            else:
+                f = self.parse_strategic()
+            self.depth -= 1
             return f
         if kind == "ident":
             self.next()
@@ -487,6 +520,7 @@ def parse(text: str, model, coalition_macros=None) -> Formula:
     Coalition members are resolved against ``model.agents`` (and canonicalised
     to model order), atoms against the model's declared propositions.
     ``coalition_macros`` maps a name usable inside ``<<..>>`` to a list of
-    agents it expands to.
+    agents it expands to.  Formulas nesting operators deeper than
+    :data:`MAX_NESTING` levels raise :class:`FormulaSyntaxError`.
     """
     return _Parser(text, model, coalition_macros).parse()

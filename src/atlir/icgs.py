@@ -178,9 +178,6 @@ class GroupAction:
         except ValueError:
             raise UnknownAgent("agent %r not in coalition" % (agent,)) from None
 
-    def as_dict(self):
-        return dict(zip(self.coalition, self.picks))
-
     def completes(self, model: Icgs, joint: tuple) -> bool:
         """True iff the full joint action agrees with this one on the coalition."""
         return all(joint[model._agent_pos[ag]] == a
@@ -201,6 +198,16 @@ class Move:
 
 def bits(mask: int) -> Iterator[int]:
     """Iterate over set bit positions, lowest first."""
+    if mask.bit_length() > 4096:
+        # Clearing bit by bit copies the whole int per bit; on move masks of
+        # large models, scanning the binary text once is linear instead.
+        text = bin(mask)
+        last = len(text) - 1
+        j = text.rfind("1")
+        while j > 1:
+            yield last - j
+            j = text.rfind("1", 2, j)
+        return
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -26,7 +26,6 @@ import json
 from .errors import CapExceeded, DocumentError
 from .icgs import NONDETERMINISTIC_TRANSITION, Icgs, ValidationIssue
 
-FILE_EXTENSION = ".icgs.json"
 CASTLES_WORKER_CAP = 7
 
 _REQUIRED_KEYS = ("agents", "actions", "states", "initial", "labels", "obs",

@@ -119,7 +119,6 @@ def test_criterion_4_castles_phi2_fails():
                % (counts, elapsed, "yes" if counts == (1, 1, 1) else "no"))
 
 
-@pytest.mark.slow
 def test_castles_truth_values_scale_to_five_workers():
     # beyond the required sizes: the published truth values persist at 1,2,2
     model = gen_castles(1, 2, 2)

@@ -353,3 +353,24 @@ def test_check_with_initial_query_matches_full_verdict():
         restricted = check(model, f, query=model.state_set(model.initial))
         assert full.holds == restricted.holds
         assert restricted.sat == full.sat & model.state_set(model.initial)
+
+
+# The search visits the same fragments in the same order whatever the
+# predecessor engine costs: these counts were recorded before the reverse
+# index replaced the sweeps over every move, and must not move with it.
+SEARCH_ORDER = [
+    ((1, 1, 1), "<<c1w1,c2w1>> F castle3_defeated", True, (5, 5, 5)),
+    ((1, 1, 1), "<<c1w1,c2w1>> F all_defeated", False, (1387, 324, 7)),
+    ((1, 1, 2), "<<c1w1,c2w1>> F castle3_defeated", True, (37, 5, 5)),
+    ((1, 1, 2), "<<c1w1,c2w1>> F all_defeated", False, (1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("counts,text,holds,expected", SEARCH_ORDER)
+def test_castles_search_order_is_pinned(counts, text, holds, expected,
+                                        castles111, castles112):
+    model = castles111 if counts == (1, 1, 1) else castles112
+    result = check(model, text, query=model.state_set(model.initial))
+    s = result.stats
+    assert result.holds == holds
+    assert (s.strategies_explored, s.split_calls, s.max_depth) == expected

@@ -125,3 +125,29 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "HOLDS" in proc.stdout
+
+
+def test_deeply_nested_formula_exits_two_without_traceback(capsys, tmp_path):
+    import subprocess
+    import sys
+    out_path = tmp_path / "cg.json"
+    assert run(capsys, "gen", "cardgame", "-o", str(out_path))[0] == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "atlir", "check", "--model", str(out_path),
+         "!" * 3000 + "win"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_unexpected_exception_exits_two(capsys, monkeypatch):
+    import atlir.cli
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(atlir.cli, "check", crash)
+    code, _, err = run(capsys, "check", "--gen", "cardgame", "true")
+    assert code == 2
+    assert "internal error" in err and "boom" in err

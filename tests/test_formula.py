@@ -189,3 +189,43 @@ def test_print_preserves_associativity_shape(cardgame):
     assert parse(to_text(left), cardgame) == left
     assert parse(to_text(right), cardgame) == right
     assert to_text(left) != to_text(right)
+
+
+# -- nesting bound -------------------------------------------------------------
+
+def _nested_shapes(levels):
+    """Formulas whose operators nest exactly ``levels`` deep, one per shape."""
+    shapes = {
+        "not": "!" * levels + "win",
+        "parens": "(" * levels + "win" + ")" * levels,
+        "implies": " -> ".join(["win"] * (levels + 1)),
+        "or-chain": " | ".join(["win"] * (levels + 1)),
+        "and-chain": " & ".join(["win"] * (levels + 1)),
+        "next": "<<player>> X " * levels + "win",
+        "until": "<<player>> (" * levels + "win" + " U win)" * levels,
+        "must-weak-until": "[[player]] (" * levels + "win" + " W win)" * levels,
+    }
+    return shapes
+
+
+def test_formulas_at_the_nesting_bound_evaluate(cardgame):
+    from atlir.checker import check
+    from atlir.formula import MAX_NESTING
+    from atlir.oracle import oracle_eval, perfect_info_eval
+    for name, text in _nested_shapes(MAX_NESTING).items():
+        f = parse(text, cardgame)
+        assert parse(to_text(f), cardgame) == f, name
+        sat = check(cardgame, f).sat
+        assert sat == oracle_eval(cardgame, f), name
+        perfect_info_eval(cardgame, f)
+
+
+def test_formulas_past_the_nesting_bound_are_syntax_errors(cardgame):
+    from atlir.formula import MAX_NESTING
+    for name, text in _nested_shapes(MAX_NESTING + 1).items():
+        with pytest.raises(FormulaSyntaxError, match="nests deeper"):
+            parse(text, cardgame)
+    with pytest.raises(FormulaSyntaxError, match="nests deeper"):
+        parse("!" * 3000 + "win", cardgame)
+    with pytest.raises(FormulaSyntaxError, match="nests deeper"):
+        parse("(" * 3000 + "win" + ")" * 3000, cardgame)

@@ -1,0 +1,165 @@
+"""The predecessor engine against plain sweeps over every coalition move.
+
+The index answers ``pre_move``, ``pre_ce``, ``filter_ceu`` and ``moves_of``
+backwards over a reverse index and incrementally along growing targets.  The
+references below are the direct definitions, each a sweep over all moves or
+states, kept here so that every shortcut is held to them.
+"""
+
+import random
+
+import pytest
+
+from atlir import modelio
+from atlir.icgs import bits
+
+from corpus import make_model, random_model
+
+
+def ref_moves_of(idx, qmask):
+    out = 0
+    for m, si in enumerate(idx.move_state):
+        if qmask >> si & 1:
+            out |= 1 << m
+    return out
+
+
+def ref_pre_move(idx, target):
+    out = 0
+    for m, succ in enumerate(idx.succ_mask):
+        if succ & ~target == 0:
+            out |= 1 << m
+    return out
+
+
+def ref_pre_ce(idx, target):
+    out = 0
+    for m, succ in enumerate(idx.succ_mask):
+        if succ & ~target == 0:
+            out |= 1 << idx.move_state[m]
+    return out
+
+
+def ref_filter_ceu(idx, q1, q2):
+    z = q2
+    while True:
+        nz = q2 | (q1 & ref_pre_ce(idx, z))
+        if nz == z:
+            return z
+        z = nz
+
+
+def random_mask(rng, n, density):
+    mask = 0
+    for i in range(n):
+        if rng.random() < density:
+            mask |= 1 << i
+    return mask
+
+
+def random_indexes():
+    """(label, index) over corpus models, the card game and castles 1,1,1."""
+    rng = random.Random(211)
+    out = []
+    for k in range(25):
+        model = random_model(rng)
+        gamma = model.coalition(rng.sample(model.agents,
+                                           rng.randint(1, len(model.agents))))
+        out.append(("corpus %d" % k, model.index(gamma)))
+    cardgame = modelio.gen_cardgame()
+    out.append(("cardgame player", cardgame.index(("player",))))
+    out.append(("cardgame dealer,player", cardgame.index(("dealer", "player"))))
+    castles = modelio.gen_castles(1, 1, 1)
+    out.append(("castles 1,1,1", castles.index(castles.coalition(["c1w1", "c2w1"]))))
+    return out
+
+
+INDEXES = random_indexes()
+
+
+@pytest.mark.parametrize("label,idx", INDEXES, ids=[lab for lab, _ in INDEXES])
+def test_incremental_pre_move_along_growing_targets(label, idx):
+    rng = random.Random(label)
+    n = idx.n_states
+    for _ in range(6):
+        target = random_mask(rng, n, rng.choice((0.0, 0.05, 0.2)))
+        good = idx.pre_move(target)
+        assert good == ref_pre_move(idx, target)
+        while target != idx.full_states:
+            grown = target | random_mask(rng, n, rng.choice((0.02, 0.1, 0.3)))
+            good = idx.pre_move(grown, target, good)
+            assert good == ref_pre_move(idx, grown), label
+            target = grown
+
+
+@pytest.mark.parametrize("label,idx", INDEXES, ids=[lab for lab, _ in INDEXES])
+def test_pre_ce_and_moves_of_match_sweeps(label, idx):
+    rng = random.Random(label)
+    for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+        qmask = random_mask(rng, idx.n_states, density)
+        assert idx.pre_ce(qmask) == ref_pre_ce(idx, qmask)
+        assert idx.moves_of(qmask) == ref_moves_of(idx, qmask)
+
+
+@pytest.mark.parametrize("label,idx", INDEXES, ids=[lab for lab, _ in INDEXES])
+def test_filter_ceu_from_a_closed_floor(label, idx):
+    rng = random.Random(label)
+    n = idx.n_states
+    for _ in range(4):
+        q1 = random_mask(rng, n, rng.choice((0.5, 0.9, 1.0)))
+        small = random_mask(rng, n, 0.05)
+        floor = idx.filter_ceu(q1, small)
+        assert floor == ref_filter_ceu(idx, q1, small)
+        for _ in range(3):
+            grown = small | random_mask(rng, n, rng.choice((0.0, 0.05, 0.2)))
+            expected = ref_filter_ceu(idx, q1, grown)
+            idx._filter_memo.clear()  # the floor, not the memo, must answer
+            assert idx.filter_ceu(q1, grown, floor=floor) == expected, label
+            assert idx.filter_ceu(q1, grown) == expected
+
+
+def stuck_model():
+    """Move (u, b) of agent g has no successor: its transition is missing.
+
+    The index is built without validation, as for any model handed to it.
+    """
+    states = ["u", "v"]
+    protocol = {"g": {"u": ["a", "b"], "v": ["a"]}}
+    transition = {("u", ("a",)): "v", ("v", ("a",)): "v"}
+    observation = {"g": {"u": "u", "v": "v"}}
+    return make_model(["g"], states, protocol, transition, observation)
+
+
+def test_move_without_successor_is_in_pre_move_of_every_target():
+    model = stuck_model()
+    idx = model.index(("g",))
+    stuck = 1 << idx.move_id("u", ("b",))
+    assert idx.pre_move(0) == stuck == ref_pre_move(idx, 0)
+    u, v = 1, 2
+    assert idx.pre_move(v) == ref_pre_move(idx, v)
+    assert idx.pre_move(v, 0, 0) & stuck
+    assert idx.pre_move(u | v, v, idx.pre_move(v)) == idx.all_moves_mask
+    assert idx.pre_ce(0) == u == ref_pre_ce(idx, 0)
+    assert idx.filter_ceu(idx.full_states, 0) == u == ref_filter_ceu(idx, idx.full_states, 0)
+
+
+def test_reverse_index_lists_each_move_once_per_successor():
+    for label, idx in INDEXES:
+        for s, moves in enumerate(idx.pred_moves):
+            assert len(set(moves)) == len(moves), label
+            assert sorted(moves) == [m for m, succ in enumerate(idx.succ_mask)
+                                     if succ >> s & 1], label
+        assert sum(len(moves) for moves in idx.pred_moves) == sum(
+            len(list(bits(succ))) for succ in idx.succ_mask)
+
+
+@pytest.mark.parametrize("width", [0, 1, 64, 4096, 4097, 50000])
+def test_bits_lists_set_positions_lowest_first(width):
+    # Masks longer than 4096 bits take the binary-text scan.
+    rng = random.Random(width)
+    for density in (0.0, 0.001, 0.3, 1.0):
+        positions = sorted(i for i in range(width) if rng.random() < density)
+        if width:
+            positions = sorted(set(positions) | {width - 1})
+        mask = sum(1 << i for i in positions)
+        assert list(bits(mask)) == positions
