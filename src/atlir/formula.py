@@ -352,10 +352,18 @@ def _tokenize(text):
     return tokens
 
 
-# Deepest operator nesting accepted by ``parse``.  Normalisation, hashing and
-# evaluation recurse once or more per level, so without a bound a deep
-# formula exhausts the interpreter's stack.
+# Normalisation, hashing, printing and evaluation recurse once or more per
+# operator level, so without bounds a deep formula exhausts the interpreter's
+# stack.  ``parse`` bounds two things.  MAX_NESTING counts the recursive
+# descents of the parser: '!', '(', '->' and the strategic operators, whose
+# levels cost up to 8 frames each downstream ('[[..]] W').  MAX_HEIGHT counts
+# every operator level of the result, so it also bounds chains of '&', '|'
+# and '<->', which the parser reads in a loop.  A chain level costs 2-3
+# frames, so the deepest formula within both bounds (64 '[[..]] W' levels
+# over a 64-level chain) needs about 650 frames, leaving room under Python's
+# default limit of 1000 for the caller.
 MAX_NESTING = 64
+MAX_HEIGHT = 128
 
 
 def _height(f: Formula) -> int:
@@ -381,7 +389,8 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise FormulaSyntaxError(
-                "formula nests deeper than %d levels" % MAX_NESTING, pos)
+                "formula nests '!', '(', '->' or strategic operators deeper"
+                " than %d levels" % MAX_NESTING, pos)
 
     def peek(self):
         return self.tokens[self.i]
@@ -402,11 +411,11 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "eof":
             raise FormulaSyntaxError("unexpected trailing input %r" % tok[1], tok[2])
-        # Chains of binary operators nest without recursing in the parser;
-        # every level takes a token, so short formulas need no walk.
-        if len(self.tokens) > MAX_NESTING and _height(f) > MAX_NESTING:
+        # Every operator level takes a token, so short formulas need no walk.
+        if len(self.tokens) > MAX_HEIGHT and _height(f) > MAX_HEIGHT:
             raise FormulaSyntaxError(
-                "formula nests deeper than %d levels" % MAX_NESTING, 0)
+                "formula is deeper than %d operator levels (each operator of a"
+                " chain of '&', '|' or '<->' is one level)" % MAX_HEIGHT, 0)
         return f
 
     def parse_iff(self):
@@ -520,7 +529,9 @@ def parse(text: str, model, coalition_macros=None) -> Formula:
     Coalition members are resolved against ``model.agents`` (and canonicalised
     to model order), atoms against the model's declared propositions.
     ``coalition_macros`` maps a name usable inside ``<<..>>`` to a list of
-    agents it expands to.  Formulas nesting operators deeper than
-    :data:`MAX_NESTING` levels raise :class:`FormulaSyntaxError`.
+    agents it expands to.  A formula that nests ``!``, ``(``, ``->`` or
+    strategic operators deeper than :data:`MAX_NESTING` levels, or whose
+    syntax tree is higher than :data:`MAX_HEIGHT` operator levels, raises
+    :class:`FormulaSyntaxError`.
     """
     return _Parser(text, model, coalition_macros).parse()

@@ -200,7 +200,8 @@ def bits(mask: int) -> Iterator[int]:
     """Iterate over set bit positions, lowest first."""
     if mask.bit_length() > 4096:
         # Clearing bit by bit copies the whole int per bit; on move masks of
-        # large models, scanning the binary text once is linear instead.
+        # large models, scanning the binary text once is linear instead.  On
+        # masks up to a few thousand bits the scan's fixed cost loses.
         text = bin(mask)
         last = len(text) - 1
         j = text.rfind("1")

@@ -191,41 +191,60 @@ def test_print_preserves_associativity_shape(cardgame):
     assert to_text(left) != to_text(right)
 
 
-# -- nesting bound -------------------------------------------------------------
+# -- nesting bounds ------------------------------------------------------------
 
-def _nested_shapes(levels):
-    """Formulas whose operators nest exactly ``levels`` deep, one per shape."""
-    shapes = {
+def _descent_shapes(levels):
+    """Formulas the parser reads by ``levels`` nested descents, one per shape."""
+    return {
         "not": "!" * levels + "win",
         "parens": "(" * levels + "win" + ")" * levels,
         "implies": " -> ".join(["win"] * (levels + 1)),
-        "or-chain": " | ".join(["win"] * (levels + 1)),
-        "and-chain": " & ".join(["win"] * (levels + 1)),
         "next": "<<player>> X " * levels + "win",
         "until": "<<player>> (" * levels + "win" + " U win)" * levels,
         "must-weak-until": "[[player]] (" * levels + "win" + " W win)" * levels,
     }
-    return shapes
 
 
-def test_formulas_at_the_nesting_bound_evaluate(cardgame):
+def _chain(op, levels):
+    return (" %s " % op).join(["win"] * (levels + 1))
+
+
+def _assert_evaluates(model, text):
     from atlir.checker import check
-    from atlir.formula import MAX_NESTING
     from atlir.oracle import oracle_eval, perfect_info_eval
-    for name, text in _nested_shapes(MAX_NESTING).items():
-        f = parse(text, cardgame)
-        assert parse(to_text(f), cardgame) == f, name
-        sat = check(cardgame, f).sat
-        assert sat == oracle_eval(cardgame, f), name
-        perfect_info_eval(cardgame, f)
+    f = parse(text, model)
+    assert parse(to_text(f), model) == f, text[:40]
+    assert check(model, f).sat == oracle_eval(model, f), text[:40]
+    perfect_info_eval(model, f)
 
 
-def test_formulas_past_the_nesting_bound_are_syntax_errors(cardgame):
-    from atlir.formula import MAX_NESTING
-    for name, text in _nested_shapes(MAX_NESTING + 1).items():
-        with pytest.raises(FormulaSyntaxError, match="nests deeper"):
+def test_formulas_at_the_nesting_bounds_evaluate(cardgame):
+    from atlir.formula import MAX_HEIGHT, MAX_NESTING
+    for text in _descent_shapes(MAX_NESTING).values():
+        _assert_evaluates(cardgame, text)
+    for op in ("|", "&"):
+        _assert_evaluates(cardgame, _chain(op, MAX_HEIGHT))
+    # the costliest operator at the descent bound over a chain that takes
+    # the rest of the height bound
+    chain = _chain("|", MAX_HEIGHT - MAX_NESTING)
+    _assert_evaluates(cardgame, "[[player]] (" * MAX_NESTING + chain
+                      + " W win)" * MAX_NESTING)
+    # '<->' chains are exponential to evaluate; parsing them is linear
+    assert parse(_chain("<->", MAX_HEIGHT), cardgame) is not None
+
+
+def test_formulas_past_the_nesting_bounds_are_syntax_errors(cardgame):
+    from atlir.formula import MAX_HEIGHT, MAX_NESTING
+    for text in _descent_shapes(MAX_NESTING + 1).values():
+        with pytest.raises(FormulaSyntaxError, match="deeper than 64 levels"):
             parse(text, cardgame)
-    with pytest.raises(FormulaSyntaxError, match="nests deeper"):
+    with pytest.raises(FormulaSyntaxError, match="deeper than 64 levels"):
         parse("!" * 3000 + "win", cardgame)
-    with pytest.raises(FormulaSyntaxError, match="nests deeper"):
+    with pytest.raises(FormulaSyntaxError, match="deeper than 64 levels"):
         parse("(" * 3000 + "win" + ")" * 3000, cardgame)
+    for op in ("|", "&", "<->"):
+        with pytest.raises(FormulaSyntaxError, match="128 operator levels"):
+            parse(_chain(op, MAX_HEIGHT + 1), cardgame)
+    with pytest.raises(FormulaSyntaxError, match="128 operator levels"):
+        parse("<<player>> X " * MAX_NESTING + _chain("|", MAX_HEIGHT - 63),
+              cardgame)
