@@ -334,6 +334,8 @@ class CoalitionIndex:
             yield movemask
             return
         seen = set()
+        # The shortcut pays for itself: without it each of the 20,736 seeds of
+        # castles 1,1,3 <<c1w1,c2w1>> F castle3_defeated is checked, 3 s -> 23 s.
         check_max = maximal and not self._is_uniform_product(movemask)
 
         def rec(mask, ai):

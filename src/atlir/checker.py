@@ -1,12 +1,13 @@
 """Backward model checking of coalition reachability objectives.
 
-The evaluator handles the core fragment produced by
-:func:`atlir.formula.normalize`.  Boolean connectives are evaluated
-structurally; negation complements the sub-formula's full satisfying set
-within the query, because strategic sub-formulas quantify over
-indistinguishable states that may fall outside the query.
+:class:`Walk` folds the core fragment produced by
+:func:`atlir.formula.normalize`, for the checker and the reference evaluators
+of :mod:`atlir.oracle` alike.  Negation complements the sub-formula's
+memoised full satisfying set, because strategic sub-formulas quantify over
+indistinguishable states that may fall outside the query; the strategic
+operators go to a solver passed in by the caller.
 
-Strategic operators are solved backwards from the target states.  For
+The checker's solver works backwards from the target states.  For
 coalition-next, the moves that surely enter the target in one step are split
 into maximal conflict-free subsets; a state is satisfied when one subset
 covers everything the coalition confuses with it.  For coalition-until, each
@@ -22,6 +23,7 @@ as the fragment covers its whole indistinguishability class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import CoalitionMismatch, PreconditionViolation, UnsupportedOperator
 from .formula import (
@@ -61,16 +63,52 @@ class EvalCache:
     """Memo from a normalized sub-formula to its satisfying set over all states."""
 
     def __init__(self):
-        self._table = {}
+        self.model = None
+        self.masks = {}  # the checker's walk memo: sub-formula -> mask
 
     def get(self, f: Formula):
-        return self._table.get(f)
-
-    def put(self, f: Formula, sat: StateSet):
-        self._table[f] = sat
+        mask = self.masks.get(f)
+        return None if mask is None else StateSet(self.model, mask)
 
     def __len__(self):
-        return len(self._table)
+        return len(self.masks)
+
+
+class Walk:
+    """The Boolean fold over a normalized formula.
+
+    ``sat(f, within)`` is the mask of the states of ``within`` that satisfy
+    ``f``.  ``full(f)`` is its satisfying mask over all states, kept in
+    ``memo`` (normalized sub-formula -> mask), so each distinct sub-formula
+    under a negation or a strategic operator is evaluated over all states
+    once.  The strategic nodes go to ``solve(walk, f, within)``.
+    """
+
+    __slots__ = ("model", "solve", "memo")
+
+    def __init__(self, model: Icgs, solve, memo: dict):
+        self.model = model
+        self.solve = solve
+        self.memo = memo
+
+    def full(self, f: Formula) -> int:
+        sat = self.memo.get(f)
+        if sat is None:
+            sat = self.memo[f] = self.sat(f, self.model._all_mask)
+        return sat
+
+    def sat(self, f: Formula, within: int) -> int:
+        if isinstance(f, TrueConst):
+            return within
+        if isinstance(f, Atom):
+            return within & self.model.label_mask(f.name)
+        if isinstance(f, Not):
+            return within & ~self.full(f.sub)
+        if isinstance(f, Or):
+            return self.sat(f.left, within) | self.sat(f.right, within)
+        if isinstance(f, (CanNext, CanUntil)):
+            return self.solve(self, f, within)
+        raise UnsupportedOperator("the evaluator cannot handle %r" % (f,))
 
 
 def check(model: Icgs, f, cache: EvalCache = None,
@@ -89,14 +127,13 @@ def check(model: Icgs, f, cache: EvalCache = None,
         f = parse(f, model)
     nf = normalize(f)
     stats = CheckStats()
-    cache = cache if cache is not None else EvalCache()
     initial = 0
     for q in model.initial:
         initial |= 1 << model._state_pos[q]
     qmask = model._all_mask if query is None else query.mask
     if initial & ~qmask:
         raise PreconditionViolation("the query must contain the initial states")
-    sat = _eval(model, qmask, nf, cache, stats)
+    sat = _walk(model, cache, stats).sat(nf, qmask)
     return CheckResult(nf, StateSet(model, sat), initial & ~sat == 0, stats)
 
 
@@ -106,10 +143,8 @@ def evaluate(model: Icgs, query: StateSet, f: Formula,
     if query.model is not model:
         from .errors import ModelError
         raise ModelError("query belongs to a different model")
-    nf = normalize(f)
-    cache = cache if cache is not None else EvalCache()
-    stats = CheckStats()
-    return StateSet(model, _eval(model, query.mask, nf, cache, stats))
+    walk = _walk(model, cache, CheckStats())
+    return StateSet(model, walk.sat(normalize(f), query.mask))
 
 
 def eval_ceu(model: Icgs, interest: StateSet, strategy: MoveSet,
@@ -146,79 +181,50 @@ def eval_ceu(model: Icgs, interest: StateSet, strategy: MoveSet,
 
 
 # ---------------------------------------------------------------------------
-# Internal mask-level evaluator
+# The backward search, as the solver of the checker's walk
 # ---------------------------------------------------------------------------
 
-def _eval(model, qmask, f, cache, stats):
-    if isinstance(f, TrueConst):
-        return qmask
-    if isinstance(f, Atom):
-        return qmask & model.label_mask(f.name)
-    if isinstance(f, Not):
-        return qmask & ~_eval_full(model, f.sub, cache, stats)
-    if isinstance(f, Or):
-        return (_eval(model, qmask, f.left, cache, stats)
-                | _eval(model, qmask, f.right, cache, stats))
+def _walk(model, cache, stats):
+    if cache is None:
+        cache = EvalCache()
+    cache.model = model
+    return Walk(model, partial(_search, stats), cache.masks)
+
+
+def _search(stats, walk, f, qmask):
+    """Split the seed moves into maximal conflict-free subsets and grow each
+    subset until the states of interest are decided."""
+    idx = walk.model.index(f.coalition)
+    interest = idx.closure(qmask)
     if isinstance(f, CanNext):
-        return _eval_can_next(model, qmask, f, cache, stats)
-    if isinstance(f, CanUntil):
-        return _eval_can_until(model, qmask, f, cache, stats)
-    raise UnsupportedOperator("the evaluator cannot handle %r" % (f,))
+        # Evaluate the operand on the successors of everything any coalition
+        # member confuses with the states of interest, reusing its full set.
+        post = idx.post(idx.closure(interest))
+        target = walk.memo.get(f.sub)
+        target = walk.sat(f.sub, post) if target is None else target & post
+        seeds = idx.pre_move(target)
+        sat = 0
 
+        def grow(seed, remaining):
+            return idx.closed_within(remaining, idx.cover(seed))
+    else:
+        q1 = walk.full(f.lhs)
+        q2 = walk.full(f.rhs)
+        # States whose whole indistinguishability class already satisfies
+        # the target need no strategy at all.
+        sat = idx.closed_within(interest, q2)
+        if sat == interest:
+            return sat & qmask
+        moves_q1 = idx.moves_of(q1)
+        seeds = idx.moves_of(q2)
 
-def _eval_full(model, f, cache, stats):
-    hit = cache.get(f)
-    if hit is not None:
-        return hit.mask
-    sat = _eval(model, model._all_mask, f, cache, stats)
-    cache.put(f, StateSet(model, sat))
-    return sat
-
-
-def _eval_sub(model, qmask, f, cache, stats):
-    # Restricted evaluation; reuses a cached full set when available.
-    hit = cache.get(f)
-    if hit is not None:
-        return hit.mask & qmask
-    return _eval(model, qmask, f, cache, stats)
-
-
-def _eval_can_next(model, qmask, f, cache, stats):
-    idx = model.index(f.coalition)
-    interest = idx.closure(qmask)
-    # Evaluate the operand on the successors of everything any coalition
-    # member confuses with the states of interest.
-    target = _eval_sub(model, idx.post(idx.closure(interest)), f.sub, cache, stats)
-    good_moves = idx.pre_move(target)
-    sat = 0
-    remaining = interest
-    stats.split_calls += 1
-    for mmask in idx.split_all(good_moves, True):
-        stats.strategies_explored += 1
-        cov = idx.cover(mmask)
-        sat |= idx.closed_within(remaining, cov)
-        remaining = interest & ~sat
-        if remaining == 0:
-            break
-    return sat & qmask
-
-
-def _eval_can_until(model, qmask, f, cache, stats):
-    idx = model.index(f.coalition)
-    q1 = _eval_full(model, f.lhs, cache, stats)
-    q2 = _eval_full(model, f.rhs, cache, stats)
-    interest = idx.closure(qmask)
-    # States whose whole indistinguishability class already satisfies the
-    # target need no strategy at all.
-    sat = idx.closed_within(interest, q2)
-    if sat == interest:
-        return sat & qmask
+        def grow(seed, remaining):
+            return _ceu_search(idx, remaining, seed, q1, moves_q1, q2, 0, stats)
     remaining = interest & ~sat
-    moves_q1 = idx.moves_of(q1)
     stats.split_calls += 1
-    for seed in idx.split_all(idx.moves_of(q2), True):
+    for seed in idx.split_all(seeds, True):
         stats.strategies_explored += 1
-        sat |= _ceu_search(idx, remaining, seed, q1, moves_q1, q2, 0, stats)
+        sat |= grow(seed, remaining)
         remaining = interest & ~sat
         if remaining == 0:
             break

@@ -37,10 +37,33 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Formula:
-    """Base class of all AST nodes."""
+    """Base class of all AST nodes.
+
+    A node computes its hash once: :func:`normalize` shares sub-formulas in
+    a DAG, and the generated dataclass hash would walk it as a tree.
+    """
+
+    _hash = None
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:  # first use: only the fields are in the instance dict
+            h = self.__dict__["_hash"] = hash(tuple(self.__dict__.values()))
+        return h
+
+    def __reduce__(self):
+        # Rebuilt from the fields alone: string hashes differ between processes.
+        return type(self), tuple(map(self.__getattribute__, self.__match_args__))
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass node with the cached hash of :class:`Formula`."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
 class TrueConst(Formula):
     pass
 
@@ -48,98 +71,98 @@ class TrueConst(Formula):
 TRUE = TrueConst()
 
 
-@dataclass(frozen=True)
+@_node
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class CanNext(Formula):
     coalition: tuple
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class CanUntil(Formula):
     coalition: tuple
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class CanEventually(Formula):
     coalition: tuple
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class CanGlobally(Formula):
     coalition: tuple
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class CanWeakUntil(Formula):
     coalition: tuple
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class MustNext(Formula):
     coalition: tuple
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class MustEventually(Formula):
     coalition: tuple
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class MustGlobally(Formula):
     coalition: tuple
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class MustUntil(Formula):
     coalition: tuple
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class MustWeakUntil(Formula):
     coalition: tuple
     lhs: Formula
@@ -207,45 +230,30 @@ def normalize(f: Formula) -> Formula:
 
 
 def is_normalized(f: Formula) -> bool:
-    if isinstance(f, (TrueConst, Atom)):
-        return True
-    if isinstance(f, Not):
-        return is_normalized(f.sub)
-    if isinstance(f, Or):
-        return is_normalized(f.left) and is_normalized(f.right)
-    if isinstance(f, CanNext):
-        return is_normalized(f.sub)
-    if isinstance(f, CanUntil):
-        return is_normalized(f.lhs) and is_normalized(f.rhs)
-    return False
+    return all(isinstance(g, CORE_NODES) for g in _nodes(f))
 
 
 def atoms(f: Formula) -> frozenset:
     """All proposition names occurring in the formula."""
-    out = set()
-
-    def walk(g):
-        if isinstance(g, Atom):
-            out.add(g.name)
-        for child in _children(g):
-            walk(child)
-
-    walk(f)
-    return frozenset(out)
+    return frozenset(g.name for g in _nodes(f) if isinstance(g, Atom))
 
 
 def coalitions(f: Formula) -> frozenset:
     """All coalition tuples occurring in the formula."""
-    out = set()
+    return frozenset(g.coalition for g in _nodes(f) if hasattr(g, "coalition"))
 
-    def walk(g):
-        if hasattr(g, "coalition"):
-            out.add(g.coalition)
-        for child in _children(g):
-            walk(child)
 
-    walk(f)
-    return frozenset(out)
+def _nodes(f: Formula):
+    """Every distinct node of ``f`` once (iterative): a normalized formula
+    is a DAG with exponentially many paths in its ``<->`` depth."""
+    seen = set()
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if id(g) not in seen:
+            seen.add(id(g))
+            yield g
+            todo.extend(_children(g))
 
 
 def _children(f: Formula):

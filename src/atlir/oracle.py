@@ -13,15 +13,20 @@ Three independent routes to the same semantics:
 - :func:`perfect_info_eval` evaluates the same formulas as if every agent
   observed the exact state (plain alternating fixpoints); uniform results
   are always a subset of these.
+
+Both evaluators run the checker's fold, :class:`atlir.checker.Walk`, with
+their own solver for the strategic operators and a memo for one call.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
-from .errors import EnumerationCapExceeded, IncompleteStrategy, UnsupportedOperator
-from .formula import Atom, CanNext, CanUntil, Not, Or, TrueConst, normalize
+from .checker import Walk
+from .errors import EnumerationCapExceeded, IncompleteStrategy
+from .formula import CanNext, normalize
 from .icgs import GroupAction, Icgs, Move, MoveSet, StateSet, bits
 
 DEFAULT_CAP = 10 ** 6
@@ -144,70 +149,47 @@ def strategy_sat_u(model: Icgs, strategy: UniformStrategy,
 
 def oracle_eval(model: Icgs, f, cap: int = DEFAULT_CAP) -> StateSet:
     """Exhaustive-enumeration semantics of a formula over all states."""
-    nf = normalize(f)
+    walk = Walk(model, partial(_enumerate, cap), {})
+    return StateSet(model, walk.sat(normalize(f), model._all_mask))
+
+
+def _enumerate(cap, walk, f, within):
+    model = walk.model
+    idx = model.index(f.coalition)
     full = model._all_mask
-    return StateSet(model, _oracle(model, nf, full, cap))
-
-
-def _oracle(model, f, full, cap):
-    if isinstance(f, TrueConst):
-        return full
-    if isinstance(f, Atom):
-        return model.label_mask(f.name)
-    if isinstance(f, Not):
-        return full & ~_oracle(model, f.sub, full, cap)
-    if isinstance(f, Or):
-        return _oracle(model, f.left, full, cap) | _oracle(model, f.right, full, cap)
     if isinstance(f, CanNext):
-        idx = model.index(f.coalition)
-        target = _oracle(model, f.sub, full, cap)
-        sat = 0
-        for strategy in enumerate_uniform(model, f.coalition, cap):
+        target = walk.full(f.sub)
+
+        def winning(strategy):
             succ = _strategy_succ(model, strategy)
             good = 0
             for i in range(idx.n_states):
                 if succ[i] & ~target == 0:
                     good |= 1 << i
-            sat |= idx.closed_within(full & ~sat, good)
-            if sat == full:
-                break
-        return sat
-    if isinstance(f, CanUntil):
-        idx = model.index(f.coalition)
-        q1 = StateSet(model, _oracle(model, f.lhs, full, cap))
-        q2 = StateSet(model, _oracle(model, f.rhs, full, cap))
-        sat = 0
-        for strategy in enumerate_uniform(model, f.coalition, cap):
-            winning = strategy_sat_u(model, strategy, q1, q2)
-            sat |= idx.closed_within(full & ~sat, winning.mask)
-            if sat == full:
-                break
-        return sat
-    raise UnsupportedOperator("the oracle cannot handle %r" % (f,))
+            return good
+    else:
+        q1 = StateSet(model, walk.full(f.lhs))
+        q2 = StateSet(model, walk.full(f.rhs))
+
+        def winning(strategy):
+            return strategy_sat_u(model, strategy, q1, q2).mask
+    sat = 0
+    for strategy in enumerate_uniform(model, f.coalition, cap):
+        sat |= idx.closed_within(full & ~sat, winning(strategy))
+        if sat == full:
+            break
+    return sat & within
 
 
 def perfect_info_eval(model: Icgs, f) -> StateSet:
     """Perfect-information semantics: one-step controllability for next,
     the reach-through fixpoint for until."""
-    nf = normalize(f)
-    full = model._all_mask
-    return StateSet(model, _perfect(model, nf, full))
+    walk = Walk(model, _fixpoints, {})
+    return StateSet(model, walk.sat(normalize(f), model._all_mask))
 
 
-def _perfect(model, f, full):
-    if isinstance(f, TrueConst):
-        return full
-    if isinstance(f, Atom):
-        return model.label_mask(f.name)
-    if isinstance(f, Not):
-        return full & ~_perfect(model, f.sub, full)
-    if isinstance(f, Or):
-        return _perfect(model, f.left, full) | _perfect(model, f.right, full)
+def _fixpoints(walk, f, within):
+    idx = walk.model.index(f.coalition)
     if isinstance(f, CanNext):
-        idx = model.index(f.coalition)
-        return idx.pre_ce(_perfect(model, f.sub, full))
-    if isinstance(f, CanUntil):
-        idx = model.index(f.coalition)
-        return idx.filter_ceu(_perfect(model, f.lhs, full),
-                              _perfect(model, f.rhs, full))
-    raise UnsupportedOperator("the evaluator cannot handle %r" % (f,))
+        return within & idx.pre_ce(walk.full(f.sub))
+    return within & idx.filter_ceu(walk.full(f.lhs), walk.full(f.rhs))

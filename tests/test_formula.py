@@ -1,6 +1,12 @@
 """Parser, normalisation, and printing of the formula language."""
 
+import os
+import pickle
 import random
+import signal
+import subprocess
+import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -229,7 +235,8 @@ def test_formulas_at_the_nesting_bounds_evaluate(cardgame):
     chain = _chain("|", MAX_HEIGHT - MAX_NESTING)
     _assert_evaluates(cardgame, "[[player]] (" * MAX_NESTING + chain
                       + " W win)" * MAX_NESTING)
-    # '<->' chains are exponential to evaluate; parsing them is linear
+    # evaluating a '<->' chain this high overflows the stack (four node
+    # levels per '<->' after normalisation); parsing it is linear
     assert parse(_chain("<->", MAX_HEIGHT), cardgame) is not None
 
 
@@ -248,3 +255,62 @@ def test_formulas_past_the_nesting_bounds_are_syntax_errors(cardgame):
     with pytest.raises(FormulaSyntaxError, match="128 operator levels"):
         parse("<<player>> X " * MAX_NESTING + _chain("|", MAX_HEIGHT - 63),
               cardgame)
+
+
+# -- shared sub-formulas --------------------------------------------------------
+
+def _nested_iff(levels):
+    text = "win"
+    for _ in range(levels):
+        text = "(%s <-> <<player>> X win)" % text
+    return text
+
+
+@contextmanager
+def _alarm(seconds):
+    """Fail a walk that does not return instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("no result within %d s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# normalize shares both operands of every '<->', so a hash, a walker or an
+# evaluator that follows the DAG as a tree takes time exponential in the depth.
+
+def test_nested_iff_evaluates_in_time_linear_in_its_depth(cardgame):
+    f = parse(_nested_iff(40), cardgame)
+    with _alarm(10):
+        assert isinstance(hash(normalize(f)), int)
+        _assert_evaluates(cardgame, _nested_iff(40))
+
+
+def test_node_walkers_visit_each_shared_node_once(cardgame):
+    nf = normalize(parse(_nested_iff(40), cardgame))
+    with _alarm(10):
+        assert is_normalized(nf)
+        assert atoms(nf) == {"win"}
+        assert coalitions(nf) == {("player",)}
+
+
+def test_pickled_formula_rehashes_in_another_process(cardgame):
+    # String hashes are salted per process, so a cached hash must not travel.
+    text = _nested_iff(3)
+    nf = normalize(parse(text, cardgame))
+    hash(nf)
+    script = ("import pickle, sys\n"
+              "from atlir import gen_cardgame, normalize, parse\n"
+              "f = pickle.loads(sys.stdin.buffer.read())\n"
+              "print({f: 'found'}.get(normalize(parse(%r, gen_cardgame()))))"
+              % text)
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    out = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(nf),
+                         capture_output=True, check=True,
+                         env={**os.environ, "PYTHONHASHSEED": seed})
+    assert out.stdout.strip() == b"found"

@@ -1,10 +1,11 @@
 """Document round-trips and the two benchmark generators."""
 
 import json
+import random
 
 import pytest
 
-from atlir.errors import CapExceeded, DocumentError, ModelError
+from atlir.errors import AtlirError, CapExceeded, DocumentError, ModelError
 from atlir.icgs import gamma_closure, step, validate
 from atlir.modelio import (
     dumps,
@@ -191,6 +192,39 @@ def test_load_rejects_unknown_observation_state(cardgame):
     with pytest.raises(ModelError) as err:
         loads(json.dumps(doc))
     assert any(issue.kind == "DanglingReference" for issue in err.value.issues)
+
+
+# JSON values of every type a document can hold
+_VALUES = (None, True, 0, -1, 2.5, "", "x", [], ["x"], {}, {"x": "y"})
+
+
+def _mutate(rng, doc):
+    """Delete one key or list entry of ``doc`` in place, or replace its value
+    with a JSON value of another type; the entry sits at a random depth."""
+    parent, key = None, None
+    node = doc
+    while isinstance(node, (dict, list)) and node:
+        parent, key = node, rng.choice(list(node) if isinstance(node, dict)
+                                       else range(len(node)))
+        node = node[key]
+        if rng.random() < 0.3:
+            break
+    if rng.random() < 0.5:
+        del parent[key]
+    else:
+        parent[key] = rng.choice([v for v in _VALUES if type(v) is not type(node)])
+
+
+def test_loader_raises_only_atlir_errors_on_mutated_documents(cardgame):
+    text = dumps(cardgame)
+    rng = random.Random(7)
+    for _ in range(2000):
+        doc = json.loads(text)
+        _mutate(rng, doc)
+        try:
+            loads(json.dumps(doc))
+        except AtlirError:
+            pass
 
 
 def test_castles_caps():
