@@ -12,9 +12,10 @@ coalition-next, the moves that surely enter the target in one step are split
 into maximal conflict-free subsets; a state is satisfied when one subset
 covers everything the coalition confuses with it.  For coalition-until, each
 maximal conflict-free seed over the target states is grown backwards: at
-every step the moves that surely re-enter the current fragment and are
-compatible with it are split into conflict-free extensions, and the search
-backtracks over the alternatives while excluding moves it already set aside.
+every step the moves that surely re-enter the current fragment and do not
+clash with it (each frame carries the clash of its fragment) are split into
+conflict-free extensions, and the search backtracks over the alternatives
+while excluding moves it already set aside.
 A state is abandoned as soon as some indistinguishable state loses even under
 perfect information (no general strategy reaches the target), and won as soon
 as the fragment covers its whole indistinguishability class.
@@ -237,23 +238,28 @@ class _Frame:
     ``cov`` is the fragment's coverage.  Until the frame is first visited,
     ``known``, ``good`` and ``notlose`` hold its parent's coverage,
     ``pre_move`` answer and not-lose set (zero for a root); the child's
-    coverage only grows, so they seed its incremental calls.
+    coverage only grows, so they seed its incremental calls.  Likewise
+    ``blocked``, the moves that conflict with the fragment, starts as the
+    parent's and takes in the clash of ``added``, the moves the frame adds,
+    only once it has candidate moves to filter.
     """
 
-    __slots__ = ("interest", "strategy", "exclude", "cov", "known", "good",
-                 "notlose", "iterator", "new_moves")
+    __slots__ = ("interest", "strategy", "exclude", "cov", "added", "known",
+                 "good", "notlose", "blocked", "iterator", "new_moves")
 
-    def __init__(self, interest, strategy, exclude, cov, parent=None):
+    def __init__(self, interest, strategy, exclude, cov, added, parent=None):
         self.interest = interest
         self.strategy = strategy
         self.exclude = exclude
         self.cov = cov
+        self.added = added
         if parent is None:
-            self.known = self.good = self.notlose = 0
+            self.known = self.good = self.notlose = self.blocked = 0
         else:
             self.known = parent.cov
             self.good = parent.good
             self.notlose = parent.notlose
+            self.blocked = parent.blocked
         self.iterator = None
         self.new_moves = 0
 
@@ -269,7 +275,7 @@ def _ceu_search(idx, interest, strategy, q1mask, moves_q1, q2mask, exclude,
     ``moves_q1`` is ``idx.moves_of(q1mask)``.
     """
     won = 0
-    stack = [_Frame(interest, strategy, exclude, idx.cover(strategy))]
+    stack = [_Frame(interest, strategy, exclude, idx.cover(strategy), strategy)]
     while stack:
         if len(stack) > stats.max_depth:
             stats.max_depth = len(stack)
@@ -291,7 +297,9 @@ def _ceu_search(idx, interest, strategy, q1mask, moves_q1, q2mask, exclude,
             fr.interest = rest
             fr.good = idx.pre_move(cov, fr.known, fr.good)
             new_moves = fr.good & moves_q1 & ~fr.strategy & ~fr.exclude
-            comp = idx.compatible(new_moves, fr.strategy)
+            if new_moves:
+                fr.blocked |= idx.clash(fr.added)
+            comp = new_moves & ~fr.blocked
             if comp == 0:
                 stack.pop()
                 continue
@@ -312,5 +320,5 @@ def _ceu_search(idx, interest, strategy, q1mask, moves_q1, q2mask, exclude,
             stats.strategies_explored += 1
             stack.append(_Frame(fr.interest, fr.strategy | sub,
                                 fr.exclude | (fr.new_moves & ~sub),
-                                fr.cov | idx.cover(sub), fr))
+                                fr.cov | idx.cover(sub), sub, fr))
     return won

@@ -72,8 +72,9 @@ def _generate(spec: str):
             counts = [int(p) for p in params.split(",")]
         except ValueError:
             counts = []
-        if len(counts) != 3:
-            raise AtlirError("castles needs three worker counts, e.g. castles:1,1,2")
+        if len(counts) != 3 or min(counts) < 1:
+            raise AtlirError("castles needs three worker counts of at least 1,"
+                             " e.g. castles:1,1,2")
         model = modelio.gen_castles(*counts)
         teams = modelio.castle_workers(*counts)
         macros = {"all12": teams[0] + teams[1]}

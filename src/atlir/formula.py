@@ -39,17 +39,18 @@ from .errors import (
 class Formula:
     """Base class of all AST nodes.
 
-    A node computes its hash once: :func:`normalize` shares sub-formulas in
-    a DAG, and the generated dataclass hash would walk it as a tree.
+    A node computes its hash once, when it is built: :func:`normalize`
+    shares sub-formulas in a DAG, and the generated dataclass hash would walk
+    it as a tree.  Children are built first, so their hashes are ready and
+    hashing never recurses.
     """
 
-    _hash = None
+    def __post_init__(self):
+        fields = self.__dict__  # only the fields are in it yet
+        fields["_hash"] = hash(tuple(fields.values()))
 
     def __hash__(self):
-        h = self._hash
-        if h is None:  # first use: only the fields are in the instance dict
-            h = self.__dict__["_hash"] = hash(tuple(self.__dict__.values()))
-        return h
+        return self._hash
 
     def __reduce__(self):
         # Rebuilt from the fields alone: string hashes differ between processes.

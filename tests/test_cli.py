@@ -117,6 +117,14 @@ def test_bad_generator_spec_exits_two(capsys, tmp_path):
     assert code == 2
 
 
+def test_castles_without_workers_exits_two(capsys):
+    for spec in ("castles:0,1,1", "castles:1,-1,1"):
+        code, out, err = run(capsys, "check", "--gen", spec, "true")
+        assert code == 2
+        assert err.startswith("error: castles needs three worker counts")
+        assert "internal error" not in err and out == ""
+
+
 def test_module_entry_point():
     import subprocess
     import sys

@@ -228,16 +228,13 @@ def test_formulas_at_the_nesting_bounds_evaluate(cardgame):
     from atlir.formula import MAX_HEIGHT, MAX_NESTING
     for text in _descent_shapes(MAX_NESTING).values():
         _assert_evaluates(cardgame, text)
-    for op in ("|", "&"):
+    for op in ("|", "&", "<->"):
         _assert_evaluates(cardgame, _chain(op, MAX_HEIGHT))
     # the costliest operator at the descent bound over a chain that takes
     # the rest of the height bound
     chain = _chain("|", MAX_HEIGHT - MAX_NESTING)
     _assert_evaluates(cardgame, "[[player]] (" * MAX_NESTING + chain
                       + " W win)" * MAX_NESTING)
-    # evaluating a '<->' chain this high overflows the stack (four node
-    # levels per '<->' after normalisation); parsing it is linear
-    assert parse(_chain("<->", MAX_HEIGHT), cardgame) is not None
 
 
 def test_formulas_past_the_nesting_bounds_are_syntax_errors(cardgame):

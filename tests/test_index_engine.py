@@ -1,9 +1,11 @@
-"""The predecessor engine against plain sweeps over every coalition move.
+"""The index's mask engine against plain sweeps and per-move definitions.
 
 The index answers ``pre_move``, ``pre_ce``, ``filter_ceu`` and ``moves_of``
-backwards over a reverse index and incrementally along growing targets.  The
+backwards over a reverse index and incrementally along growing targets, and
+every conflict question through the one mask operator ``clash``.  The
 references below are the direct definitions, each a sweep over all moves or
-states, kept here so that every shortcut is held to them.
+states or a per-agent table rebuilt from the moves of a mask, kept here so
+that every shortcut is held to them.
 """
 
 import random
@@ -49,6 +51,81 @@ def ref_filter_ceu(idx, q1, q2):
         z = nz
 
 
+def ref_is_conflicting(idx, movemask):
+    for a in range(len(idx.gamma)):
+        seen = {}
+        for m in bits(movemask):
+            t = idx.move_tok[a][m]
+            act = idx.move_action[m][a]
+            prev = seen.get(t)
+            if prev is None:
+                seen[t] = act
+            elif prev != act:
+                return True
+    return False
+
+
+def ref_compatible(idx, candidates, base):
+    k = len(idx.gamma)
+    assigned = [dict() for _ in range(k)]
+    for m in bits(base):
+        for a in range(k):
+            acts = assigned[a].setdefault(idx.move_tok[a][m], set())
+            acts.add(idx.move_action[m][a])
+    out = 0
+    for m in bits(candidates):
+        for a in range(k):
+            acts = assigned[a].get(idx.move_tok[a][m])
+            if acts and (len(acts) > 1 or idx.move_action[m][a] not in acts):
+                break
+        else:
+            out |= 1 << m
+    return out
+
+
+def ref_is_maximal(idx, mask, movemask):
+    k = len(idx.gamma)
+    assigned = [dict() for _ in range(k)]
+    for m in bits(mask):
+        for a in range(k):
+            assigned[a][idx.move_tok[a][m]] = idx.move_action[m][a]
+    for x in bits(movemask & ~mask):
+        for a in range(k):
+            act = assigned[a].get(idx.move_tok[a][x])
+            if act is not None and act != idx.move_action[x][a]:
+                break
+        else:
+            return False  # x could be added without any conflict
+    return True
+
+
+def ref_clash(idx, movemask):
+    """Moves sharing some agent's observation class with a move of the mask
+    but assigning that agent another action, pair by pair."""
+    k = len(idx.gamma)
+    ms = list(bits(movemask))
+    out = 0
+    for x in range(len(idx.move_state)):
+        if any(idx.move_tok[a][x] == idx.move_tok[a][m]
+               and idx.move_action[x][a] != idx.move_action[m][a]
+               for m in ms for a in range(k)):
+            out |= 1 << x
+    return out
+
+
+def ref_split_max(idx, movemask):
+    """The per-agent maximal fold, deduplicated, with every output held to
+    ``ref_is_maximal`` (no product shortcut)."""
+    masks = [movemask]
+    for a in range(len(idx.gamma)):
+        masks = [sub for mask in masks for sub in idx.split_agent(a, mask, True)]
+    out = []
+    for mask in dict.fromkeys(masks):
+        if ref_is_maximal(idx, mask, movemask):
+            out.append(mask)
+    return out
+
+
 def random_mask(rng, n, density):
     mask = 0
     for i in range(n):
@@ -75,6 +152,24 @@ def random_indexes():
 
 
 INDEXES = random_indexes()
+
+
+def random_moves(rng, idx, size):
+    """About ``size`` random moves, often with two moves of one observation
+    class that assign its agent different actions."""
+    n_moves = len(idx.move_state)
+    mask = 0
+    for _ in range(size):
+        mask |= 1 << rng.randrange(n_moves)
+    if idx.gamma and rng.random() < 0.5:
+        m = rng.randrange(n_moves)
+        a = rng.randrange(len(idx.gamma))
+        cls = idx.class_moves[a][idx.move_tok[a][m]]
+        other = [x for x in bits(cls)
+                 if idx.move_action[x][a] != idx.move_action[m][a]]
+        if other:
+            mask |= 1 << m | 1 << rng.choice(other)
+    return mask
 
 
 @pytest.mark.parametrize("label,idx", INDEXES, ids=[lab for lab, _ in INDEXES])
@@ -128,6 +223,41 @@ def stuck_model():
     transition = {("u", ("a",)): "v", ("v", ("a",)): "v"}
     observation = {"g": {"u": "u", "v": "v"}}
     return make_model(["g"], states, protocol, transition, observation)
+
+
+@pytest.mark.parametrize("label,idx", INDEXES, ids=[lab for lab, _ in INDEXES])
+def test_conflict_operators_match_per_move_definitions(label, idx):
+    rng = random.Random(label)
+    n_moves = len(idx.move_state)
+    two_actions = 0
+    for _ in range(30):
+        base = random_moves(rng, idx, rng.choice((0, 1, 2, 4, 8)))
+        candidates = random_mask(rng, n_moves, rng.choice((0.1, 0.5, 1.0)))
+        clash = idx.clash(base)
+        assert clash == ref_clash(idx, base), label
+        assert idx.compatible(candidates, base) == ref_compatible(
+            idx, candidates, base), label
+        assert idx.is_conflicting(base) == ref_is_conflicting(idx, base), label
+        two_actions += ref_is_conflicting(idx, base)
+        other = random_moves(rng, idx, 3)
+        assert idx.clash(base | other) == clash | idx.clash(other), label
+    # some class offers its agent two actions: a base must have hit one
+    assert two_actions or not ref_is_conflicting(idx, idx.all_moves_mask), label
+
+
+@pytest.mark.parametrize("label,idx", INDEXES, ids=[lab for lab, _ in INDEXES])
+def test_maximal_split_matches_the_per_move_filter(label, idx):
+    rng = random.Random(label)
+    n_moves = len(idx.move_state)
+    shapes = [random_moves(rng, idx, rng.choice((1, 3, 6, 10))) for _ in range(12)]
+    # full action products over a few states take the uniform-product path
+    for _ in range(4):
+        states = rng.sample(range(idx.n_states), min(idx.n_states, 3))
+        shapes.append(idx.moves_of(sum(1 << i for i in states)))
+    shapes.append(idx.all_moves_mask if n_moves <= 24 else 0)
+    for movemask in shapes:
+        assert list(idx.split_all(movemask, True)) == ref_split_max(
+            idx, movemask), label
 
 
 def test_move_without_successor_is_in_pre_move_of_every_target():
