@@ -6,6 +6,15 @@ canonical order (state-major, then lexicographic on the coalition action
 tuple), so ascending bit order *is* canonical iteration order and the moves
 of one state form a contiguous id range.
 
+The tables are built from the model's successor rows
+(``Icgs.successor_rows``), which list each state's joint actions in
+``itertools.product`` order over the agents' protocols.  The position of a
+joint action in its row fixes each agent's pick as one digit, so its move id
+is the state's first move id plus the coalition's digits read as a
+mixed-radix number over the coalition's protocol sizes.  The ids of a whole
+row come from ``map(sum, product(...))``, with no lookup or projection per
+joint action.
+
 The predecessor operators run backwards over a reverse index, the moves that
 can reach each state, so a caller whose target only grows pays for the
 states it adds instead of a sweep over every move.
@@ -34,19 +43,60 @@ class CoalitionIndex:
         self.n_states = n
         self.full_states = (1 << n) - 1
 
-        # Enumerate coalition moves in canonical order.
+        # Enumerate coalition moves in canonical order: protocols are sorted
+        # tuples, so their product is.  From the model's successor rows, the
+        # successors of each move over all completions by the other agents;
+        # the reverse index: per state, the moves with that state among their
+        # successors, each listed once; and the plain post relation.
+        protocol = model.protocol
+        coalition_protocols = [protocol[ag] for ag in gamma]
+        # last agent first: its protocol, and whether it is in the coalition
+        radix = [(protocol[ag], ag in gamma) for ag in reversed(model.agents)]
+        rows = model.successor_rows()
         move_state = []
         move_action = []
         moves_at = []  # per state: the range of its move ids
         lookup = {}
+        succ = []
+        pred = [array("i") for _ in range(n)]
+        post = [0] * n
         for i, q in enumerate(model.states):
             first = len(move_state)
-            picks = [model.protocol[ag].get(q, ()) for ag in gamma]
-            for combo in sorted(itertools.product(*picks)):
-                lookup[(i, combo)] = len(move_state)
-                move_state.append(i)
-                move_action.append(combo)
-            moves_at.append(range(first, len(move_state)))
+            combos = list(itertools.product(
+                *[per_state.get(q, ()) for per_state in coalition_protocols]))
+            stop = first + len(combos)
+            lookup.update(zip(zip(itertools.repeat(i), combos), range(first, stop)))
+            move_state.extend(itertools.repeat(i, len(combos)))
+            move_action.extend(combos)
+            moves_at.append(range(first, stop))
+            succ.extend(itertools.repeat(0, len(combos)))
+            row = rows[i]
+            if row is None:
+                continue
+            # A joint action's move id: ``first`` plus the coalition's picks
+            # read as a mixed-radix number over the coalition's protocol
+            # sizes.  One term per agent, 0 for the others, summed in the
+            # product order of the row.
+            terms = []
+            weight = 1
+            for per_state, inside in radix:
+                size = len(per_state[q])
+                if inside:
+                    terms.append(range(0, weight * size, weight))
+                    weight *= size
+                else:
+                    terms.append((0,) * size)
+            terms.append((first,))
+            move_ids = map(sum, itertools.product(*reversed(terms)))
+            reached = 0
+            # each (move, successor) pair once, in the order first reached
+            for m, t in dict.fromkeys(zip(move_ids, row)):
+                if t >= 0:
+                    bit = 1 << t
+                    reached |= bit
+                    succ[m] |= bit
+                    pred[t].append(m)
+            post[i] = reached
         self.move_state = move_state
         self.move_action = move_action
         self.moves_at = moves_at
@@ -54,29 +104,6 @@ class CoalitionIndex:
         n_moves = len(move_state)
         self.all_moves_mask = (1 << n_moves) - 1
         self._move_bytes = (n_moves + 7) // 8
-
-        # Successors of each move over all completions by the other agents;
-        # the reverse index: per state, the moves with that state among their
-        # successors, each listed once; and the plain post relation.
-        gamma_pos = [model._agent_pos[ag] for ag in gamma]
-        succ = [0] * n_moves
-        pred = [array("i") for _ in range(n)]
-        post = [0] * n
-        for i, q in enumerate(model.states):
-            proto = [model.protocol[ag].get(q, ()) for ag in model.agents]
-            if any(not acts for acts in proto):
-                continue
-            for joint in itertools.product(*proto):
-                target = model.transition.get((q, joint))
-                if target is None:
-                    continue
-                t = model._state_pos[target]
-                bit = 1 << t
-                post[i] |= bit
-                mid = lookup[(i, tuple(joint[p] for p in gamma_pos))]
-                if not succ[mid] & bit:
-                    succ[mid] |= bit
-                    pred[t].append(mid)
         self.succ_mask = succ
         self.pred_moves = pred
         self.post_mask = post

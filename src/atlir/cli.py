@@ -8,6 +8,10 @@ Two subcommands::
 Exit codes of ``check``: 0 when every formula holds, 1 when some formula
 fails, 2 on any error, 3 when ``--oracle`` finds a disagreement between the
 checker and the exhaustive oracle.
+
+The ``--json`` report's ``timings`` are ``load_s`` (load or generate the
+model), ``index_s`` (build the index of every coalition the formulas name)
+and ``check_s`` (parse and check the formulas, with the oracle if asked).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import time
 from . import modelio, oracle
 from .checker import check
 from .errors import AtlirError
-from .formula import parse
+from .formula import coalitions, parse
 
 GENERATORS = ("cardgame", "castles")
 
@@ -101,8 +105,12 @@ def _cmd_check(args) -> int:
     disagreement = False
     all_hold = True
     t1 = time.perf_counter()
-    for text in texts:
-        parsed = parse(text, model, coalition_macros=macros)
+    formulas = [parse(text, model, coalition_macros=macros) for text in texts]
+    t2 = time.perf_counter()
+    for gamma in sorted(set().union(*map(coalitions, formulas))):
+        model.index(gamma)
+    index_s = time.perf_counter() - t2
+    for text, parsed in zip(texts, formulas):
         outcome = check(model, parsed, query=query)
         entry = {
             "formula": text,
@@ -120,7 +128,7 @@ def _cmd_check(args) -> int:
             disagreement = disagreement or not agrees
         all_hold = all_hold and outcome.holds
         results.append(entry)
-    check_s = time.perf_counter() - t1
+    check_s = time.perf_counter() - t1 - index_s
 
     report = {
         "model": {
@@ -129,7 +137,8 @@ def _cmd_check(args) -> int:
             "agents": len(model.agents),
         },
         "results": results,
-        "timings": {"load_s": round(load_s, 6), "check_s": round(check_s, 6)},
+        "timings": {"load_s": round(load_s, 6), "index_s": round(index_s, 6),
+                    "check_s": round(check_s, 6)},
     }
     if args.as_json:
         print(json.dumps(report, indent=2, sort_keys=True))

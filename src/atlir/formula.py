@@ -52,14 +52,47 @@ class Formula:
     def __hash__(self):
         return self._hash
 
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return _same(self, other)
+
     def __reduce__(self):
         # Rebuilt from the fields alone: string hashes differ between processes.
         return type(self), tuple(map(self.__getattribute__, self.__match_args__))
 
 
+def _same(f, g):
+    """Structural equality that compares each pair of nodes once.
+
+    Two separately built DAGs share no node, so the generated dataclass
+    equality, which follows both as trees, would be exponential in their
+    ``<->`` depth.  Nodes of another type or hash differ at once.
+    """
+    done = set()
+    todo = [(f, g)]
+    while todo:
+        a, b = todo.pop()
+        if a is b or (id(a), id(b)) in done:
+            continue
+        if type(a) is not type(b) or a._hash != b._hash:
+            return False
+        done.add((id(a), id(b)))
+        for name in a.__match_args__:
+            x, y = getattr(a, name), getattr(b, name)
+            if isinstance(x, Formula):
+                todo.append((x, y))
+            elif x != y:
+                return False
+    return True
+
+
 def _node(cls):
-    """A frozen dataclass node with the cached hash of :class:`Formula`."""
-    cls = dataclass(frozen=True)(cls)
+    """A frozen dataclass node with the cached hash and the DAG equality of
+    :class:`Formula`."""
+    cls = dataclass(frozen=True, eq=False)(cls)
     cls.__hash__ = Formula.__hash__
     return cls
 

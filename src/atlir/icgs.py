@@ -11,11 +11,18 @@ All set-valued results use :class:`StateSet` and :class:`MoveSet`, thin
 wrappers over bit masks with a canonical iteration order (model state order,
 then lexicographic action order).  Determinism of every downstream algorithm
 rests on that order.
+
+A model lists the successors of each state's joint actions once, as an
+``array('i')`` row in ``itertools.product`` order over the agents' sorted
+protocols (:meth:`Icgs.successor_rows`).  The row is built on first use and
+shared by every coalition index of the model, so the transition dictionary
+is read once per model, not once per coalition.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -70,7 +77,8 @@ class Icgs:
             raise ModelError("duplicate state identifier")
         self._state_pos = {q: i for i, q in enumerate(self.states)}
         self._agent_pos = {ag: i for i, ag in enumerate(self.agents)}
-        self.initial = tuple(q for q in self.states if q in set(initial))
+        initial_set = set(initial)
+        self.initial = tuple(q for q in self.states if q in initial_set)
         self._initial_raw = tuple(initial)
         self.actions = {ag: tuple(acts) for ag, acts in dict(actions).items()}
         self.protocol = {
@@ -88,6 +96,7 @@ class Icgs:
         self.atoms = frozenset().union(*self.labels.values()) if self.labels else frozenset()
         self._extra_issues = tuple(extra_issues)
         self._indexes = {}
+        self._rows = None
         self._label_masks = None
         self._all_mask = (1 << len(self.states)) - 1
 
@@ -155,6 +164,31 @@ class Icgs:
             raise ModelError(
                 "invalid model: " + "; ".join(str(i) for i in issues), issues)
         return self
+
+    def successor_rows(self):
+        """Per state position, the successor position of each joint action.
+
+        A row is an ``array('i')`` over the joint actions in
+        ``itertools.product`` order of the agents' protocols, which are
+        sorted tuples, with -1 where a transition is missing or leads to an
+        undeclared state (both are validation errors).  A state where
+        some agent has no enabled action has the row None.  Built once, on
+        first use, and shared by every coalition index of the model.
+        """
+        if self._rows is None:
+            position = self._state_pos.get
+            target = self.transition.get
+            protocols = [self.protocol[ag] for ag in self.agents]
+            rows = []
+            for q in self.states:
+                proto = [per_state.get(q, ()) for per_state in protocols]
+                if all(proto):
+                    rows.append(array("i", [position(target((q, joint)), -1)
+                                            for joint in itertools.product(*proto)]))
+                else:
+                    rows.append(None)
+            self._rows = rows
+        return self._rows
 
     def index(self, gamma: tuple):
         """Internal per-coalition index (cached); ``gamma`` must be canonical."""

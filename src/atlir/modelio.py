@@ -20,6 +20,7 @@ the structure and raises with every violated well-formedness condition.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 
@@ -58,7 +59,8 @@ def from_document(doc) -> Icgs:
 
     agents = _string_list(doc["agents"], "agents")
     states = _string_list(doc["states"], "states")
-    if len(set(states)) != len(states):
+    declared = set(states)
+    if len(declared) != len(states):
         raise DocumentError("duplicate state identifier in 'states'")
     if len(set(agents)) != len(agents):
         raise DocumentError("duplicate agent identifier in 'agents'")
@@ -68,7 +70,7 @@ def from_document(doc) -> Icgs:
     labels = {q: _string_list(props, "labels[%r]" % q)
               for q, props in _object(doc["labels"], "labels").items()}
     for q in labels:
-        if q not in set(states):
+        if q not in declared:
             raise DocumentError("labels mention unknown state %r" % q)
     obs = {}
     for ag, per_state in _object(doc["obs"], "obs").items():
@@ -251,63 +253,84 @@ def gen_castles(n1: int, n2: int, n3: int, cap: int = CASTLES_WORKER_CAP) -> Icg
 
     teams = castle_workers(n1, n2, n3)
     agents = [w for team in teams for w in team]
-    own = {w: castle for castle, team in enumerate(teams) for w in team}
-    attack_of = {w: tuple("attack%d" % (c + 1) for c in range(3) if c != own[w])
-                 for w in agents}
+    own = [castle for castle, team in enumerate(teams) for _ in team]
+    attack_of = [tuple("attack%d" % (c + 1) for c in range(3) if c != own[i])
+                 for i in range(len(agents))]
     all_actions = ("attack1", "attack2", "attack3", "defend", "noop")
     actions = {w: [a for a in all_actions if a == "noop" or a == "defend"
-                   or a in attack_of[w]] for w in agents}
+                   or a in attack_of[i]] for i, w in enumerate(agents)}
 
-    def menu(worker, hp, ready):
-        if hp[own[worker]] == 0:
-            return ("noop",)
-        acts = attack_of[worker] + (("defend",) if ready else ()) + ("noop",)
-        return tuple(sorted(acts))
+    # An action's effect is one int: in fields of ``width`` bits, the
+    # attackers it adds to each castle, then the defenders; above them one
+    # "defended" bit per worker.  No field can overflow, so the effect of a
+    # joint action is the sum of its actions' effects, and its successor
+    # depends only on the hit points and that sum.
+    width = len(agents).bit_length()
+    field = (1 << width) - 1
+    ready_shift = 6 * width
+
+    def effect(i, act):
+        if act == "defend":
+            return 1 << width * (3 + own[i]) | 1 << ready_shift + i
+        if act == "noop":
+            return 0
+        return 1 << width * (int(act[-1]) - 1)
+
+    @functools.cache
+    def menu(i, fallen, ready):
+        """Worker i's enabled actions, sorted, and their effects."""
+        acts = (("noop",) if fallen else tuple(sorted(
+            attack_of[i] + (("defend",) if ready else ()) + ("noop",))))
+        return acts, tuple(effect(i, a) for a in acts)
 
     def state_id(hp, ready, init):
         return "hp%d%d%d_cd%s%s" % (hp[0], hp[1], hp[2],
                                     "".join("1" if r else "0" for r in ready),
                                     "_init" if init else "")
 
+    def successor(hp, code):
+        new_hp = tuple(max(0, hp[c] - max(0, (code >> width * c & field)
+                                          - (code >> width * (c + 3) & field)))
+                       for c in range(3))
+        new_ready = tuple(not code >> ready_shift + i & 1
+                          for i in range(len(agents)))
+        succ = (new_hp, new_ready, False)
+        tid = ids.get(succ)
+        if tid is None:
+            tid = ids[succ] = state_id(*succ)
+            frontier.append(succ)
+        return tid
+
     initial = ((3, 3, 3), (True,) * len(agents), True)
     ids = {initial: state_id(*initial)}
     protocol = {w: {} for w in agents}
     observation = {w: {} for w in agents}
     transition = {}
+    after = {}  # hit points -> {joint effect: successor id}
     frontier = [initial]
-    explored = set()
     while frontier:
-        state = frontier.pop()
-        if state in explored:
-            continue
-        explored.add(state)
-        hp, ready, init = state
+        hp, ready, init = state = frontier.pop()
         sid = ids[state]
+        status = "_df%d%d%d%s" % (hp[0] == 0, hp[1] == 0, hp[2] == 0,
+                                  "_init" if init else "")
         menus = []
+        effects = []
         for i, w in enumerate(agents):
-            m = menu(w, hp, ready[i])
-            protocol[w][sid] = list(m)
-            observation[w][sid] = "cd%d_df%d%d%d%s" % (
-                int(ready[i]), int(hp[0] == 0), int(hp[1] == 0),
-                int(hp[2] == 0), "_init" if init else "")
-            menus.append(m)
-        for joint in itertools.product(*menus):
-            attackers = [0, 0, 0]
-            defenders = [0, 0, 0]
-            for i, act in enumerate(joint):
-                if act == "defend":
-                    defenders[own[agents[i]]] += 1
-                elif act != "noop":
-                    attackers[int(act[-1]) - 1] += 1
-            new_hp = tuple(max(0, hp[c] - max(0, attackers[c] - defenders[c]))
-                           for c in range(3))
-            new_ready = tuple(act != "defend" for act in joint)
-            succ = (new_hp, new_ready, False)
-            tid = ids.get(succ)
-            if tid is None:
-                tid = ids[succ] = state_id(*succ)
-                frontier.append(succ)
-            transition[(sid, joint)] = tid
+            acts, eff = menu(i, hp[own[i]] == 0, ready[i])
+            protocol[w][sid] = list(acts)
+            observation[w][sid] = ("cd1" if ready[i] else "cd0") + status
+            menus.append(acts)
+            effects.append(eff)
+        # One effect per joint action, in the order of product(*menus); a
+        # successor is computed once per new (hit points, effect) pair, in
+        # the order the joint actions first reach it.
+        codes = list(map(sum, itertools.product(*effects)))
+        known = after.setdefault(hp, {})
+        for code in dict.fromkeys(codes):
+            if code not in known:
+                known[code] = successor(hp, code)
+        transition.update(zip(zip(itertools.repeat(sid), itertools.product(*menus)),
+                              map(known.__getitem__, codes)))
 
     states = sorted(ids.values())
     labels = {}

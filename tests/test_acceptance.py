@@ -122,6 +122,7 @@ def test_criterion_4_castles_phi2_fails():
 def test_castles_truth_values_scale_to_five_workers():
     # beyond the required sizes: the published truth values persist at 1,2,2
     model = gen_castles(1, 2, 2)
+    assert (len(model.states), len(model.transition)) == (1528, 509353)
     init = model.state_set(model.initial)
     phi1 = parse("<<c1w1,c2w1,c2w2>> F castle3_defeated", model)
     phi2 = parse("<<c1w1,c2w1>> F all_defeated", model)

@@ -2,6 +2,8 @@
 
 import json
 
+from atlir import cli
+from atlir.checker import check
 from atlir.cli import main
 from atlir.modelio import load
 
@@ -55,6 +57,32 @@ def test_json_report_schema_and_determinism(capsys):
     strip = lambda text: {k: v for k, v in json.loads(text).items()
                           if k != "timings"}
     assert strip(out1) == strip(out2)
+
+
+def test_json_timings_split_index_build_from_check(capsys, monkeypatch):
+    built = []
+
+    def checked(model, f, query=None):
+        built.append(set(model._indexes))  # indexes present at each check
+        return check(model, f, query=query)
+
+    monkeypatch.setattr(cli, "check", checked)
+    code, out, _ = run(capsys, "check", "--gen", "castles:1,1,1", "--json",
+                       "<<c1w1,c2w1>> F castle3_defeated", "--formula",
+                       "<<c3w1>> X true | <<c2w1,c1w1>> X true")
+    assert code == 0
+    timings = json.loads(out)["timings"]
+    assert set(timings) == {"load_s", "index_s", "check_s"}
+    assert all(value >= 0 for value in timings.values())
+    # both coalitions are indexed before the first check
+    assert built == [{("c1w1", "c2w1"), ("c3w1",)}] * 2
+
+
+def test_text_output_carries_no_timings(capsys):
+    code, out, _ = run(capsys, "check", "--gen", "cardgame", "<<player>> F win")
+    assert code == 1
+    assert out == ("model: 13 states, 1 initial, 2 agents\n"
+                   "FAILS  <<player>> F win  (0/1 initial states satisfy)\n")
 
 
 def test_default_query_is_the_initial_states(capsys):

@@ -34,6 +34,7 @@ from atlir.formula import (
     MustWeakUntil,
     Not,
     Or,
+    TrueConst,
     atoms,
     coalitions,
     is_normalized,
@@ -286,6 +287,30 @@ def test_nested_iff_evaluates_in_time_linear_in_its_depth(cardgame):
     with _alarm(10):
         assert isinstance(hash(normalize(f)), int)
         _assert_evaluates(cardgame, _nested_iff(40))
+
+
+def test_separately_normalized_formulas_compare_in_time_linear_in_depth(cardgame):
+    text = _nested_iff(40)
+    first, second = (normalize(parse(text, cardgame)) for _ in range(2))
+    deeper = normalize(parse(text.replace("win", "!win", 1), cardgame))
+    with _alarm(10):
+        assert first is not second
+        assert first == second and not first != second
+        assert {first: "found"}[second] == "found"
+        assert first != deeper and deeper != second
+
+
+def test_formula_equality_is_structural():
+    a, b = Atom("a"), Atom("b")
+    assert Or(a, b) == Or(Atom("a"), Atom("b")) != Or(b, a)
+    assert Or(a, b) != And(a, b)  # same fields, other operator
+    assert CanNext(("x",), a) != CanNext(("y",), a)
+    assert Not(a) != a and Not(a) != "a"
+    assert TRUE == TrueConst()
+    # hash(-1) == hash(-2), so only the field comparison tells these apart
+    assert hash(Atom(-1)) == hash(Atom(-2)) and Atom(-1) != Atom(-2)
+    shared = Or(a, a)
+    assert Or(shared, shared) == Or(Or(a, Atom("a")), Or(Atom("a"), a))
 
 
 def test_node_walkers_visit_each_shared_node_once(cardgame):

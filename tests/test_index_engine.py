@@ -8,12 +8,15 @@ states or a per-agent table rebuilt from the moves of a mask, kept here so
 that every shortcut is held to them.
 """
 
+import itertools
 import random
+from array import array
 
 import pytest
 
 from atlir import modelio
-from atlir.icgs import bits
+from atlir._index import CoalitionIndex
+from atlir.icgs import Icgs, bits
 
 from corpus import make_model, random_model
 
@@ -124,6 +127,94 @@ def ref_split_max(idx, movemask):
         if ref_is_maximal(idx, mask, movemask):
             out.append(mask)
     return out
+
+
+def ref_tables(model, gamma):
+    """The move, successor and reverse tables built joint by joint: each
+    transition looked up, projected onto the coalition and its move found."""
+    n = len(model.states)
+    move_state, move_action, moves_at, lookup = [], [], [], {}
+    for i, q in enumerate(model.states):
+        first = len(move_state)
+        picks = [model.protocol[ag].get(q, ()) for ag in gamma]
+        for combo in sorted(itertools.product(*picks)):
+            lookup[(i, combo)] = len(move_state)
+            move_state.append(i)
+            move_action.append(combo)
+        moves_at.append(range(first, len(move_state)))
+    gamma_pos = [model._agent_pos[ag] for ag in gamma]
+    succ = [0] * len(move_state)
+    pred = [array("i") for _ in range(n)]
+    post = [0] * n
+    for i, q in enumerate(model.states):
+        proto = [model.protocol[ag].get(q, ()) for ag in model.agents]
+        if any(not acts for acts in proto):
+            continue
+        for joint in itertools.product(*proto):
+            target = model.transition.get((q, joint))
+            if target is None:
+                continue
+            t = model._state_pos[target]
+            bit = 1 << t
+            post[i] |= bit
+            mid = lookup[(i, tuple(joint[p] for p in gamma_pos))]
+            if not succ[mid] & bit:
+                succ[mid] |= bit
+                pred[t].append(mid)
+    stuck_moves = stuck_states = 0
+    for m, s in enumerate(succ):
+        if not s:
+            stuck_moves |= 1 << m
+            stuck_states |= 1 << move_state[m]
+    return {"move_state": move_state, "move_action": move_action,
+            "moves_at": moves_at, "_lookup": lookup, "succ_mask": succ,
+            "pred_moves": pred, "post_mask": post, "stuck_moves": stuck_moves,
+            "stuck_states": stuck_states}
+
+
+def ref_observation_tables(model, gamma, move_state, move_action):
+    """Per coalition agent, the token and class tables, move by move, and the
+    per-state closure."""
+    n = len(model.states)
+    out = {"tok": [], "class_states": [], "move_tok": [], "class_moves": [],
+           "class_action_moves": []}
+    closure = [0] * n
+    for a, ag in enumerate(gamma):
+        obs = model.observation.get(ag, {})
+        tok = [obs.get(q) for q in model.states]
+        cstates = {}
+        for i in range(n):
+            cstates[tok[i]] = cstates.get(tok[i], 0) | (1 << i)
+        cmoves, camoves = {}, {}
+        for m, si in enumerate(move_state):
+            cmoves[tok[si]] = cmoves.get(tok[si], 0) | (1 << m)
+            key = (tok[si], move_action[m][a])
+            camoves[key] = camoves.get(key, 0) | (1 << m)
+        for i in range(n):
+            closure[i] |= cstates[tok[i]]
+        out["tok"].append(tok)
+        out["class_states"].append(cstates)
+        out["move_tok"].append([tok[si] for si in move_state])
+        out["class_moves"].append(cmoves)
+        out["class_action_moves"].append(camoves)
+    out["closure_of"] = closure
+    return out
+
+
+def assert_tables_match(idx, label):
+    model, gamma = idx.model, idx.gamma
+    ref = ref_tables(model, gamma)
+    ref.update(ref_observation_tables(model, gamma, ref["move_state"],
+                                      ref["move_action"]))
+    for name, expected in ref.items():
+        assert getattr(idx, name) == expected, (label, name)
+    # list order, not only content
+    for name in ("class_states", "class_moves", "class_action_moves"):
+        assert [list(d) for d in getattr(idx, name)] == [
+            list(d) for d in ref[name]], (label, name)
+    assert idx.all_moves_mask == (1 << len(ref["move_state"])) - 1
+    for (i, combo), m in ref["_lookup"].items():
+        assert idx.move_id(model.states[i], combo) == m, label
 
 
 def random_mask(rng, n, density):
@@ -258,6 +349,48 @@ def test_maximal_split_matches_the_per_move_filter(label, idx):
     for movemask in shapes:
         assert list(idx.split_all(movemask, True)) == ref_split_max(
             idx, movemask), label
+
+
+@pytest.mark.parametrize("label,idx", INDEXES, ids=[lab for lab, _ in INDEXES])
+def test_tables_match_the_per_joint_construction(label, idx):
+    assert_tables_match(idx, label)
+    empty = CoalitionIndex(idx.model, ())
+    assert_tables_match(empty, label + " empty coalition")
+
+
+def test_tables_match_with_a_missing_transition_and_a_stuck_agent():
+    # u: g has a, b and h has c, d, with the transition of (b, d) missing;
+    # v: h has no enabled action, so every move of g there is stuck.
+    states = ["u", "v", "w"]
+    protocol = {"g": {"u": ["a", "b"], "v": ["a"], "w": ["b", "a"]},
+                "h": {"u": ["d", "c"], "w": ["c"]}}
+    transition = {("u", ("a", "c")): "v", ("u", ("a", "d")): "w",
+                  ("u", ("b", "c")): "w", ("w", ("a", "c")): "u",
+                  ("w", ("b", "c")): "w"}
+    observation = {"g": {"u": "o", "v": "p", "w": "o"},
+                   "h": {"u": "u", "v": "v", "w": "w"}}
+    model = make_model(["g", "h"], states, protocol, transition, observation)
+    rows = model.successor_rows()
+    assert list(rows[0]) == [1, 2, 2, -1] and rows[1] is None
+    assert list(rows[2]) == [0, 2]
+    for gamma in [(), ("g",), ("h",), ("g", "h")]:
+        idx = CoalitionIndex(model, gamma)
+        assert_tables_match(idx, "stuck %r" % (gamma,))
+    idx = model.index(("g",))
+    assert idx.moves_at[1] == range(2, 3) and idx.succ_mask[2] == 0
+    assert idx.stuck_moves >> 2 & 1
+
+
+def test_tables_match_on_an_incomplete_castles_model():
+    model = modelio.gen_castles(1, 1, 1)
+    transition = dict(model.transition)
+    for key in list(transition)[::97]:
+        del transition[key]
+    broken = Icgs(model.agents, model.states, model.initial, model.actions,
+                  model.protocol, transition, model.observation, model.labels)
+    assert any(-1 in row for row in broken.successor_rows())
+    for names in (["c1w1", "c2w1"], ["c3w1"]):
+        assert_tables_match(broken.index(broken.coalition(names)), str(names))
 
 
 def test_move_without_successor_is_in_pre_move_of_every_target():
