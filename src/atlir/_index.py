@@ -6,8 +6,9 @@ canonical order (state-major, then lexicographic on the coalition action
 tuple), so ascending bit order *is* canonical iteration order and the moves
 of one state form a contiguous id range.
 
-The tables are built from the model's successor rows
-(``Icgs.successor_rows``), which list each state's joint actions in
+The tables are built from the model's successor rows, ``Icgs.rows``.  They
+are the model's only store of its transitions (``Icgs.transition`` builds a
+new dict from them on every access) and list each state's joint actions in
 ``itertools.product`` order over the agents' protocols.  The position of a
 joint action in its row fixes each agent's pick as one digit, so its move id
 is the state's first move id plus the coalition's digits read as a
@@ -52,7 +53,7 @@ class CoalitionIndex:
         coalition_protocols = [protocol[ag] for ag in gamma]
         # last agent first: its protocol, and whether it is in the coalition
         radix = [(protocol[ag], ag in gamma) for ag in reversed(model.agents)]
-        rows = model.successor_rows()
+        rows = model.rows
         move_state = []
         move_action = []
         moves_at = []  # per state: the range of its move ids

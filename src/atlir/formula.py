@@ -222,45 +222,60 @@ def normalize(f: Formula) -> Formula:
     negation/disjunction.  ``<<..>> G``, ``<<..>> W``, ``[[..]] U`` and
     ``[[..]] F`` have no least-fixpoint formulation and raise
     :class:`UnsupportedOperator`.
+
+    Each distinct node is rewritten once per call, so a DAG, such as an
+    already normalized nested ``<->``, costs time linear in its nodes.
     """
-    if isinstance(f, (TrueConst, Atom)):
-        return f
-    if isinstance(f, Not):
-        return Not(normalize(f.sub))
-    if isinstance(f, Or):
-        return Or(normalize(f.left), normalize(f.right))
-    if isinstance(f, And):
-        return Not(Or(_neg(normalize(f.left)), _neg(normalize(f.right))))
-    if isinstance(f, Implies):
-        return Or(_neg(normalize(f.left)), normalize(f.right))
-    if isinstance(f, Iff):
-        left, right = normalize(f.left), normalize(f.right)
-        both = Not(Or(_neg(left), _neg(right)))
-        neither = Not(Or(left, right))
-        return Or(both, neither)
-    if isinstance(f, CanNext):
-        return CanNext(f.coalition, normalize(f.sub))
-    if isinstance(f, CanUntil):
-        return CanUntil(f.coalition, normalize(f.lhs), normalize(f.rhs))
-    if isinstance(f, CanEventually):
-        return CanUntil(f.coalition, TRUE, normalize(f.sub))
-    if isinstance(f, MustNext):
-        return Not(CanNext(f.coalition, _neg(normalize(f.sub))))
-    if isinstance(f, MustGlobally):
-        return Not(CanUntil(f.coalition, TRUE, _neg(normalize(f.sub))))
-    if isinstance(f, MustWeakUntil):
-        # not (a W b)  ==  (not b) U (not a and not b)
-        lhs, rhs = normalize(f.lhs), normalize(f.rhs)
-        return Not(CanUntil(f.coalition, _neg(rhs), Not(Or(lhs, rhs))))
-    if isinstance(f, CanGlobally):
-        raise UnsupportedOperator("<<..>> G is outside the supported fragment")
-    if isinstance(f, CanWeakUntil):
-        raise UnsupportedOperator("<<..>> W is outside the supported fragment")
-    if isinstance(f, MustUntil):
-        raise UnsupportedOperator("[[..]] U is outside the supported fragment")
-    if isinstance(f, MustEventually):
-        raise UnsupportedOperator("[[..]] F is outside the supported fragment")
-    raise UnsupportedOperator("cannot normalize %r" % (f,))
+    memo = {}
+
+    def norm(f):
+        if isinstance(f, (TrueConst, Atom)):
+            return f
+        key = id(f)
+        g = memo.get(key)
+        if g is not None:
+            return g
+        if isinstance(f, Not):
+            g = Not(norm(f.sub))
+        elif isinstance(f, Or):
+            g = Or(norm(f.left), norm(f.right))
+        elif isinstance(f, And):
+            g = Not(Or(_neg(norm(f.left)), _neg(norm(f.right))))
+        elif isinstance(f, Implies):
+            g = Or(_neg(norm(f.left)), norm(f.right))
+        elif isinstance(f, Iff):
+            left, right = norm(f.left), norm(f.right)
+            both = Not(Or(_neg(left), _neg(right)))
+            neither = Not(Or(left, right))
+            g = Or(both, neither)
+        elif isinstance(f, CanNext):
+            g = CanNext(f.coalition, norm(f.sub))
+        elif isinstance(f, CanUntil):
+            g = CanUntil(f.coalition, norm(f.lhs), norm(f.rhs))
+        elif isinstance(f, CanEventually):
+            g = CanUntil(f.coalition, TRUE, norm(f.sub))
+        elif isinstance(f, MustNext):
+            g = Not(CanNext(f.coalition, _neg(norm(f.sub))))
+        elif isinstance(f, MustGlobally):
+            g = Not(CanUntil(f.coalition, TRUE, _neg(norm(f.sub))))
+        elif isinstance(f, MustWeakUntil):
+            # not (a W b)  ==  (not b) U (not a and not b)
+            lhs, rhs = norm(f.lhs), norm(f.rhs)
+            g = Not(CanUntil(f.coalition, _neg(rhs), Not(Or(lhs, rhs))))
+        elif isinstance(f, CanGlobally):
+            raise UnsupportedOperator("<<..>> G is outside the supported fragment")
+        elif isinstance(f, CanWeakUntil):
+            raise UnsupportedOperator("<<..>> W is outside the supported fragment")
+        elif isinstance(f, MustUntil):
+            raise UnsupportedOperator("[[..]] U is outside the supported fragment")
+        elif isinstance(f, MustEventually):
+            raise UnsupportedOperator("[[..]] F is outside the supported fragment")
+        else:
+            raise UnsupportedOperator("cannot normalize %r" % (f,))
+        memo[key] = g
+        return g
+
+    return norm(f)
 
 
 def is_normalized(f: Formula) -> bool:

@@ -12,11 +12,12 @@ wrappers over bit masks with a canonical iteration order (model state order,
 then lexicographic action order).  Determinism of every downstream algorithm
 rests on that order.
 
-A model lists the successors of each state's joint actions once, as an
-``array('i')`` row in ``itertools.product`` order over the agents' sorted
-protocols (:meth:`Icgs.successor_rows`).  The row is built on first use and
-shared by every coalition index of the model, so the transition dictionary
-is read once per model, not once per coalition.
+The transition relation is stored once, as successor rows
+(:attr:`Icgs.rows`): per state, an ``array('i')`` with the successor
+position of each joint action in ``itertools.product`` order over the
+agents' sorted protocols.  Every coalition index of the model reads them.
+:attr:`Icgs.transition` derives a new dictionary from the rows on every
+access, so a caller reads it once, outside any loop.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ MISSING_TRANSITION = "MissingTransition"
 NONDETERMINISTIC_TRANSITION = "NondeterministicTransition"
 OBSERVATION_PROTOCOL_MISMATCH = "ObservationProtocolMismatch"
 DANGLING_REFERENCE = "DanglingReference"
+DUPLICATE_ACTION = "DuplicateAction"
 
 
 @dataclass(frozen=True)
@@ -62,9 +64,15 @@ class Icgs:
     an observation token, and ``labels`` a map from state to atomic
     propositions.
 
-    The constructor only normalises its inputs; semantic well-formedness is
-    checked by :func:`validate`.  Instances are immutable once built and may
-    be shared freely across threads.
+    ``transition`` is kept only as :attr:`rows`: per state position, an
+    ``array('i')`` with the successor position of each joint action in
+    ``itertools.product`` order of the agents' protocols (sorted tuples),
+    -1 where the transition is missing and -2 where it leads to an
+    undeclared state; None where some agent has no enabled action.
+    Duplicate protocol actions and transitions that fit no row are recorded
+    at construction; :func:`validate` reports them with every other issue.
+    Instances are immutable once built and may be shared freely across
+    threads.
     """
 
     def __init__(self, agents, states, initial, actions, protocol,
@@ -81,24 +89,82 @@ class Icgs:
         self.initial = tuple(q for q in self.states if q in initial_set)
         self._initial_raw = tuple(initial)
         self.actions = {ag: tuple(acts) for ag, acts in dict(actions).items()}
-        self.protocol = {
-            ag: {q: tuple(sorted(acts)) for q, acts in per_state.items()}
-            for ag, per_state in dict(protocol).items()
-        }
-        self.transition = {
-            (q, tuple(joint)): target
-            for (q, joint), target in dict(transition).items()
-        }
+        self._issues = issues = list(extra_issues)
+        self.protocol = {}
+        for ag, per_state in dict(protocol).items():
+            self.protocol[ag] = menus = {}
+            for q, acts in per_state.items():
+                acts = sorted(acts)
+                menus[q] = unique = tuple(dict.fromkeys(acts))
+                if len(unique) != len(acts):
+                    issues.append(ValidationIssue(
+                        DUPLICATE_ACTION, "protocol of %r in %r lists an action "
+                        "more than once: %r" % (ag, q, acts)))
+        self.rows = self._tabulate(transition)
         self.observation = {
             ag: dict(per_state) for ag, per_state in dict(observation).items()
         }
         self.labels = {q: frozenset(labels.get(q, ())) for q in self.states}
         self.atoms = frozenset().union(*self.labels.values()) if self.labels else frozenset()
-        self._extra_issues = tuple(extra_issues)
         self._indexes = {}
-        self._rows = None
         self._label_masks = None
         self._all_mask = (1 << len(self.states)) - 1
+
+    def _tabulate(self, transition):
+        """The rows of ``transition``.  No key is looked up twice, as the
+        protocols hold no duplicates, so the entries that fit no row or
+        lead to an undeclared state need a scan only if there are some."""
+        code = dict(self._state_pos)  # .get(successor, -2): -2 if undeclared
+        code[None] = -1  # no transition
+        code = code.get
+        target = transition.get
+        protocols = [self.protocol.get(ag, {}) for ag in self.agents]
+        rows = []
+        landed = 0
+        for q in self.states:
+            proto = [per_state.get(q, ()) for per_state in protocols]
+            if all(proto):
+                row = array("i", [code(target((q, joint)), -2)
+                                  for joint in itertools.product(*proto)])
+                landed += len(row) - row.count(-1) - row.count(-2)
+                rows.append(row)
+            else:
+                rows.append(None)
+        if landed == len(transition):
+            return rows
+
+        def dangling(msg):
+            self._issues.append(ValidationIssue(DANGLING_REFERENCE, msg))
+
+        for (q, joint), succ in transition.items():
+            i = self._state_pos.get(q)
+            if i is None:
+                dangling("transition from unknown state %r" % (q,))
+            elif rows[i] is None or len(joint) != len(protocols) or not all(
+                    a in per_state[q] for a, per_state in zip(joint, protocols)):
+                dangling("transition from %r under disabled joint action %r"
+                         % (q, joint))
+            if succ not in self._state_pos:
+                dangling("transition from %r leads to unknown state %r" % (q, succ))
+        return rows
+
+    @property
+    def transition(self) -> dict:
+        """A new dict from (state, joint action tuple) to successor state.
+
+        Derived from :attr:`rows` on every access, so read it once, outside
+        any loop.  Transitions that were recorded as issues at construction
+        (fitting no row, or leading to an undeclared state) are not in it.
+        """
+        states = self.states
+        protocols = [self.protocol.get(ag, {}) for ag in self.agents]
+        out = {}
+        for q, row in zip(states, self.rows):
+            if row is not None:
+                keys = zip(itertools.repeat(q),
+                           itertools.product(*[per_state[q] for per_state in protocols]))
+                out.update((key, states[t]) for key, t in zip(keys, row) if t >= 0)
+        return out
 
     # -- identity -----------------------------------------------------------
 
@@ -110,7 +176,7 @@ class Icgs:
                 and self.initial == other.initial
                 and self.actions == other.actions
                 and self.protocol == other.protocol
-                and self.transition == other.transition
+                and self.rows == other.rows
                 and self.observation == other.observation
                 and self.labels == other.labels)
 
@@ -164,31 +230,6 @@ class Icgs:
             raise ModelError(
                 "invalid model: " + "; ".join(str(i) for i in issues), issues)
         return self
-
-    def successor_rows(self):
-        """Per state position, the successor position of each joint action.
-
-        A row is an ``array('i')`` over the joint actions in
-        ``itertools.product`` order of the agents' protocols, which are
-        sorted tuples, with -1 where a transition is missing or leads to an
-        undeclared state (both are validation errors).  A state where
-        some agent has no enabled action has the row None.  Built once, on
-        first use, and shared by every coalition index of the model.
-        """
-        if self._rows is None:
-            position = self._state_pos.get
-            target = self.transition.get
-            protocols = [self.protocol[ag] for ag in self.agents]
-            rows = []
-            for q in self.states:
-                proto = [per_state.get(q, ()) for per_state in protocols]
-                if all(proto):
-                    rows.append(array("i", [position(target((q, joint)), -1)
-                                            for joint in itertools.product(*proto)]))
-                else:
-                    rows.append(None)
-            self._rows = rows
-        return self._rows
 
     def index(self, gamma: tuple):
         """Internal per-coalition index (cached); ``gamma`` must be canonical."""
@@ -421,7 +462,7 @@ def validate(model: Icgs):
     An empty list means the model is well formed.  Every violation carries
     the offending state/agent/action in its message.
     """
-    issues = list(model._extra_issues)
+    issues = list(model._issues)
 
     def dangling(msg):
         issues.append(ValidationIssue(DANGLING_REFERENCE, msg))
@@ -469,27 +510,16 @@ def validate(model: Icgs):
                     EMPTY_PROTOCOL,
                     "agent %r has no enabled action in state %r" % (ag, q)))
 
-    # Transitions: defined exactly for the enabled joint actions.
-    seen = set()
-    for q in model.states:
-        proto = [model.protocol.get(ag, {}).get(q, ()) for ag in model.agents]
-        if any(not acts for acts in proto):
-            continue  # already reported as EmptyProtocol
-        for joint in itertools.product(*proto):
-            key = (q, joint)
-            seen.add(key)
-            if key not in model.transition:
-                issues.append(ValidationIssue(
-                    MISSING_TRANSITION,
-                    "no transition from %r under joint action %r" % (q, joint)))
-    for (q, joint), target in model.transition.items():
-        if q not in states:
-            dangling("transition from unknown state %r" % (q,))
-        elif (q, joint) not in seen:
-            dangling("transition from %r under disabled joint action %r"
-                     % (q, joint))
-        if target not in states:
-            dangling("transition from %r leads to unknown state %r" % (q, target))
+    # Transitions: defined for every enabled joint action.  Entries that fit
+    # no row were reported at construction.
+    for q, row in zip(model.states, model.rows):
+        if row is not None and -1 in row:
+            proto = [model.protocol[ag][q] for ag in model.agents]
+            for joint, t in zip(itertools.product(*proto), row):
+                if t == -1:
+                    issues.append(ValidationIssue(
+                        MISSING_TRANSITION,
+                        "no transition from %r under joint action %r" % (q, joint)))
 
     # Observation-protocol consistency: same token, same enabled actions.
     for ag in model.agents:
@@ -572,15 +602,18 @@ def step(model: Icgs, state, joint) -> str:
             raise DisabledJointAction(
                 "joint action has %d entries for %d agents"
                 % (len(joint), len(model.agents)))
+    slot = 0  # the joint action's position in the state's row
     for ag, a in zip(model.agents, joint):
-        if a not in model.protocol[ag].get(state, ()):
+        acts = model.protocol[ag].get(state, ())
+        if a not in acts:
             raise DisabledJointAction(
                 "action %r of agent %r is not enabled in state %r" % (a, ag, state))
-    try:
-        return model.transition[(state, joint)]
-    except KeyError:
+        slot = slot * len(acts) + acts.index(a)
+    t = model.rows[model._state_pos[state]][slot]
+    if t < 0:
         raise DisabledJointAction(
-            "no transition from %r under %r" % (state, joint)) from None
+            "no transition from %r under %r" % (state, joint))
+    return model.states[t]
 
 
 def with_perfect_information(model: Icgs) -> Icgs:

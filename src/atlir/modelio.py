@@ -234,7 +234,7 @@ def castle_workers(n1: int, n2: int, n3: int):
             for castle, count in ((1, n1), (2, n2), (3, n3))]
 
 
-def gen_castles(n1: int, n2: int, n3: int, cap: int = CASTLES_WORKER_CAP) -> Icgs:
+def gen_castles(n1: int, n2: int, n3: int) -> Icgs:
     """Three castles with hit points 3..0, each defended by a team of workers.
 
     Every turn each worker simultaneously attacks another castle, defends
@@ -247,9 +247,9 @@ def gen_castles(n1: int, n2: int, n3: int, cap: int = CASTLES_WORKER_CAP) -> Icg
     """
     if min(n1, n2, n3) < 1:
         raise ValueError("each castle needs at least one worker")
-    if n1 + n2 + n3 > cap:
-        raise CapExceeded(
-            "%d workers exceed the configured cap of %d" % (n1 + n2 + n3, cap))
+    if n1 + n2 + n3 > CASTLES_WORKER_CAP:
+        raise CapExceeded("%d workers exceed the cap of %d"
+                          % (n1 + n2 + n3, CASTLES_WORKER_CAP))
 
     teams = castle_workers(n1, n2, n3)
     agents = [w for team in teams for w in team]

@@ -112,6 +112,18 @@ def test_unknown_model_file_exits_two(capsys):
     assert "error:" in err
 
 
+def test_duplicate_protocol_action_exits_two(capsys, tmp_path):
+    doc = {"agents": ["g"], "actions": {"g": ["a"]}, "states": ["u"],
+           "initial": ["u"], "labels": {}, "obs": {"g": {"u": "o"}},
+           "protocol": {"g": {"u": ["a", "a"]}},
+           "transitions": [["u", {"g": "a"}, "u"]]}
+    path = tmp_path / "dup.icgs.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--model", str(path), "<<g>> X !true")
+    assert code == 2 and out == ""
+    assert "DuplicateAction" in err
+
+
 def test_gen_writes_loadable_document(capsys, tmp_path):
     out_path = tmp_path / "card.icgs.json"
     code, out, _ = run(capsys, "gen", "cardgame", "-o", str(out_path))

@@ -300,6 +300,15 @@ def test_separately_normalized_formulas_compare_in_time_linear_in_depth(cardgame
         assert first != deeper and deeper != second
 
 
+def test_normalizing_a_normalized_nested_iff_is_linear_in_its_depth(cardgame):
+    from atlir.checker import check
+    f = parse(_nested_iff(40), cardgame)
+    nf = normalize(f)
+    with _alarm(10):
+        assert normalize(nf) == nf
+        assert check(cardgame, nf).sat == check(cardgame, f).sat
+
+
 def test_formula_equality_is_structural():
     a, b = Atom("a"), Atom("b")
     assert Or(a, b) == Or(Atom("a"), Atom("b")) != Or(b, a)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from atlir import icgs
+from atlir import icgs, modelio
 from atlir.errors import (
     CoalitionMismatch,
     DisabledJointAction,
@@ -13,6 +13,7 @@ from atlir.errors import (
     UnknownState,
 )
 from atlir.icgs import (
+    DUPLICATE_ACTION,
     EMPTY_PROTOCOL,
     OBSERVATION_PROTOCOL_MISMATCH,
     GroupAction,
@@ -88,6 +89,91 @@ def test_require_valid_raises_with_issues():
     with pytest.raises(ModelError) as err:
         model.require_valid()
     assert err.value.issues
+
+
+def test_duplicate_protocol_action_reported():
+    model = make_model(["g"], ["u"], {"g": {"u": ["a", "a"]}},
+                       {("u", ("a",)): "u"}, {"g": {"u": "o"}})
+    assert [(issue.kind, issue.message) for issue in validate(model)] == [
+        (DUPLICATE_ACTION,
+         "protocol of 'g' in 'u' lists an action more than once: ['a', 'a']")]
+    with pytest.raises(ModelError):
+        model.require_valid()
+    # the action still has one move id
+    assert model.index(("g",)).move_action == [("a",)]
+
+
+# Each entry: a transition key, the target it gets (None: deleted from an
+# otherwise complete relation) and the one issue that causes.
+TRANSITION_FAULTS = [
+    (("u", ("b",)), None,
+     ("MissingTransition", "no transition from 'u' under joint action ('b',)")),
+    (("u", ("a",)), "x",
+     ("DanglingReference", "transition from 'u' leads to unknown state 'x'")),
+    (("v", ("b",)), "u",
+     ("DanglingReference", "transition from 'v' under disabled joint action ('b',)")),
+    (("z", ("a",)), "u",
+     ("DanglingReference", "transition from unknown state 'z'")),
+]
+
+
+def faulty_model(faults):
+    transition = {("u", ("a",)): "v", ("u", ("b",)): "u", ("v", ("a",)): "u"}
+    for key, target, _ in faults:
+        if target is None:
+            del transition[key]
+        else:
+            transition[key] = target
+    return make_model(["g"], ["u", "v"], {"g": {"u": ["a", "b"], "v": ["a"]}},
+                      transition, {"g": {"u": "u", "v": "v"}})
+
+
+@pytest.mark.parametrize("faults", [TRANSITION_FAULTS]
+                         + [[fault] for fault in TRANSITION_FAULTS])
+def test_transition_faults_are_reported_verbatim(faults):
+    issues = {(issue.kind, issue.message)
+              for issue in validate(faulty_model(faults))}
+    assert issues == {issue for _, _, issue in faults}
+
+
+def test_step_on_a_missing_transition_is_disabled():
+    model = faulty_model(TRANSITION_FAULTS)
+    assert step(model, "v", ("a",)) == "u"
+    with pytest.raises(DisabledJointAction):
+        step(model, "u", ("b",))
+    with pytest.raises(DisabledJointAction):
+        step(model, "u", {"g": "b"})
+
+
+def generated(monkeypatch, gen, *params):
+    """A generated model, and the transition dict the generator passed."""
+    passed = {}
+
+    def capture(*args):
+        passed["transition"] = dict(args[5])
+        return icgs.Icgs(*args)
+
+    monkeypatch.setattr(modelio, "Icgs", capture)
+    return gen(*params), passed["transition"]
+
+
+@pytest.mark.parametrize("gen, params", [(modelio.gen_cardgame, ()),
+                                         (modelio.gen_castles, (1, 1, 1))])
+def test_transition_reads_back_what_the_generator_passed(monkeypatch, gen, params):
+    model, passed = generated(monkeypatch, gen, *params)
+    transition = model.transition
+    assert transition == passed
+    assert all(step(model, q, joint) == target
+               for (q, joint), target in passed.items())
+    def rebuilt(transition):
+        return icgs.Icgs(model.agents, model.states, model.initial,
+                         model.actions, model.protocol, transition,
+                         model.observation, model.labels)
+
+    assert rebuilt(transition) == model
+    key, target = next(iter(passed.items()))
+    passed[key] = next(q for q in model.states if q != target)
+    assert rebuilt(passed) != model
 
 
 # -- enabled_group ----------------------------------------------------------

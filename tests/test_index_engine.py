@@ -146,12 +146,13 @@ def ref_tables(model, gamma):
     succ = [0] * len(move_state)
     pred = [array("i") for _ in range(n)]
     post = [0] * n
+    transition = model.transition
     for i, q in enumerate(model.states):
         proto = [model.protocol[ag].get(q, ()) for ag in model.agents]
         if any(not acts for acts in proto):
             continue
         for joint in itertools.product(*proto):
-            target = model.transition.get((q, joint))
+            target = transition.get((q, joint))
             if target is None:
                 continue
             t = model._state_pos[target]
@@ -370,7 +371,7 @@ def test_tables_match_with_a_missing_transition_and_a_stuck_agent():
     observation = {"g": {"u": "o", "v": "p", "w": "o"},
                    "h": {"u": "u", "v": "v", "w": "w"}}
     model = make_model(["g", "h"], states, protocol, transition, observation)
-    rows = model.successor_rows()
+    rows = model.rows
     assert list(rows[0]) == [1, 2, 2, -1] and rows[1] is None
     assert list(rows[2]) == [0, 2]
     for gamma in [(), ("g",), ("h",), ("g", "h")]:
@@ -388,7 +389,7 @@ def test_tables_match_on_an_incomplete_castles_model():
         del transition[key]
     broken = Icgs(model.agents, model.states, model.initial, model.actions,
                   model.protocol, transition, model.observation, model.labels)
-    assert any(-1 in row for row in broken.successor_rows())
+    assert any(-1 in row for row in broken.rows)
     for names in (["c1w1", "c2w1"], ["c3w1"]):
         assert_tables_match(broken.index(broken.coalition(names)), str(names))
 

@@ -267,7 +267,6 @@ def test_castles_depth_larger_with_one_worker_each(castles111, castles112):
     assert model_depth(gen_castles(2, 1, 1)) == model_depth(castles112)
 
 
-@pytest.mark.slow
 def test_castles_depth_constant_at_larger_sizes(castles112):
     bigger = gen_castles(1, 2, 2)
     assert validate(bigger) == []
