@@ -239,25 +239,21 @@ class CoalitionIndex:
         """States with some enabled coalition action surely entering the target."""
         return self.cover(self.pre_move(target_states))
 
-    def filter_ceu(self, q1mask, q2mask, stats=None, floor=0):
-        """Least fixpoint of ``Z -> q2 | (q1 & pre_ce(Z))`` (memoised).
+    def filter_ceu(self, q1mask, target, stats=None):
+        """Least fixpoint of ``Z -> target | (q1 & pre_ce(Z))`` (memoised).
 
-        ``floor`` is optional and must be a previous result for the same
-        ``q1`` and a target contained in ``q2``.  Such a result is closed:
-        no state of ``q1`` outside it has a move surely entering it.  The
-        worklist therefore starts from the states of ``q2`` outside the
-        floor, and a target inside the floor returns the floor at once.
-        Each round examines only the predecessors of the states the round
-        before added; ``stats.fixpoint_iterations`` counts these rounds.
+        The worklist starts from ``target`` and the states of ``q1`` with a
+        move without successors; each round examines only the predecessors
+        of the states the round before added.  ``stats.fixpoint_iterations``
+        counts these rounds.  Every target between ``target`` and the result
+        has the same result, so the search calls it once per seed, on the
+        seed's coverage: the coverages it grows to stay inside the result.
         """
-        key = (q1mask, q2mask)
+        key = (q1mask, target)
         hit = self._filter_memo.get(key)
         if hit is not None:
             return hit
-        z = q2mask | floor | (q1mask & self.stuck_states)
-        frontier = z & ~floor
-        if not frontier:
-            return floor
+        z = frontier = target | (q1mask & self.stuck_states)
         succ = self.succ_mask
         pred = self.pred_moves
         move_state = self.move_state

@@ -16,9 +16,12 @@ every step the moves that surely re-enter the current fragment and do not
 clash with it (each frame carries the clash of its fragment) are split into
 conflict-free extensions, and the search backtracks over the alternatives
 while excluding moves it already set aside.
-A state is abandoned as soon as some indistinguishable state loses even under
-perfect information (no general strategy reaches the target), and won as soon
-as the fragment covers its whole indistinguishability class.
+Before a seed is grown, a state is abandoned when some indistinguishable state
+loses even under perfect information (no general strategy reaches the seed's
+coverage).  That filter runs once per seed: every state a fragment adds
+already reaches the coverage it grew from, so no fragment grown from the seed
+changes its answer.  A state is won as soon as the fragment covers its whole
+indistinguishability class.
 """
 
 from __future__ import annotations
@@ -161,6 +164,11 @@ def eval_ceu(model: Icgs, interest: StateSet, strategy: MoveSet,
     fragment, but wins already covered without them are still reported even
     when no total extension can dodge ``exclude`` elsewhere.
 
+    ``q2`` is not read: a state is won once the fragment covers its whole
+    class, so the fragment itself carries the target (a caller seeds it with
+    moves of ``q2`` states).  The perfect-information filter runs once, on
+    the coverage of ``strategy``.
+
     ``interest`` must be closed under coalition indistinguishability,
     ``strategy`` conflict-free and disjoint from ``exclude``; violations
     raise :class:`PreconditionViolation` since they indicate a caller bug.
@@ -177,7 +185,7 @@ def eval_ceu(model: Icgs, interest: StateSet, strategy: MoveSet,
             "interest is not closed under coalition indistinguishability")
     stats = CheckStats()
     won = _ceu_search(idx, interest.mask, strategy.mask, q1.mask,
-                      idx.moves_of(q1.mask), q2.mask, exclude.mask, stats)
+                      idx.moves_of(q1.mask), exclude.mask, stats)
     return StateSet(model, won)
 
 
@@ -220,7 +228,7 @@ def _search(stats, walk, f, qmask):
         seeds = idx.moves_of(q2)
 
         def grow(seed, remaining):
-            return _ceu_search(idx, remaining, seed, q1, moves_q1, q2, 0, stats)
+            return _ceu_search(idx, remaining, seed, q1, moves_q1, 0, stats)
     remaining = interest & ~sat
     stats.split_calls += 1
     for seed in idx.split_all(seeds, True):
@@ -236,16 +244,15 @@ class _Frame:
     """One fragment of the search, with what was derived from it.
 
     ``cov`` is the fragment's coverage.  Until the frame is first visited,
-    ``known``, ``good`` and ``notlose`` hold its parent's coverage,
-    ``pre_move`` answer and not-lose set (zero for a root); the child's
-    coverage only grows, so they seed its incremental calls.  Likewise
-    ``blocked``, the moves that conflict with the fragment, starts as the
-    parent's and takes in the clash of ``added``, the moves the frame adds,
-    only once it has candidate moves to filter.
+    ``known`` and ``good`` hold its parent's coverage and ``pre_move`` answer
+    (zero for a root); the child's coverage only grows, so they seed its
+    incremental call.  Likewise ``blocked``, the moves that conflict with the
+    fragment, starts as the parent's and takes in the clash of ``added``, the
+    moves the frame adds, only once it has candidate moves to filter.
     """
 
     __slots__ = ("interest", "strategy", "exclude", "cov", "added", "known",
-                 "good", "notlose", "blocked", "iterator", "new_moves")
+                 "good", "blocked", "iterator", "new_moves")
 
     def __init__(self, interest, strategy, exclude, cov, added, parent=None):
         self.interest = interest
@@ -254,18 +261,16 @@ class _Frame:
         self.cov = cov
         self.added = added
         if parent is None:
-            self.known = self.good = self.notlose = self.blocked = 0
+            self.known = self.good = self.blocked = 0
         else:
             self.known = parent.cov
             self.good = parent.good
-            self.notlose = parent.notlose
             self.blocked = parent.blocked
         self.iterator = None
         self.new_moves = 0
 
 
-def _ceu_search(idx, interest, strategy, q1mask, moves_q1, q2mask, exclude,
-                stats):
+def _ceu_search(idx, interest, strategy, q1mask, moves_q1, exclude, stats):
     """Backtracking growth of one conflict-free strategy fragment.
 
     Implements the recursive search with an explicit stack: the recursion
@@ -273,28 +278,31 @@ def _ceu_search(idx, interest, strategy, q1mask, moves_q1, q2mask, exclude,
     interpreter's limit.  ``won`` accumulates across the whole tree; every
     resumed frame drops the states its descendants already won.
     ``moves_q1`` is ``idx.moves_of(q1mask)``.
+
+    A state is abandoned up front when some indistinguishable state lies
+    outside ``N = filter_ceu(q1, cov)``, the states that reach the root's
+    coverage ``cov`` under perfect information.  The filter runs once, for
+    the root: a frame only adds states of ``q1`` with a move surely entering
+    its parent's coverage, so every coverage ``X`` below the root satisfies
+    ``cov <= X <= N``, and then ``filter_ceu(q1, X) == N``.
     """
+    cov = idx.cover(strategy)
+    interest = idx.closed_within(interest, idx.filter_ceu(q1mask, cov, stats))
     won = 0
-    stack = [_Frame(interest, strategy, exclude, idx.cover(strategy), strategy)]
+    stack = [_Frame(interest, strategy, exclude, cov, strategy)]
     while stack:
         if len(stack) > stats.max_depth:
             stats.max_depth = len(stack)
         fr = stack[-1]
         if fr.iterator is None:
-            fr.interest &= ~won
+            # Won: the whole class is covered by the fragment.
             cov = fr.cov
-            notlose = idx.filter_ceu(q1mask, cov, stats, floor=fr.notlose)
-            fr.notlose = notlose
-            # Won: the whole class is covered by the fragment.  Lost: some
-            # indistinguishable state cannot reach the fragment even with a
-            # general strategy.  Neither: keep extending.
             win_local = idx.closed_within(fr.interest, cov)
             won |= win_local
-            rest = idx.closed_within(fr.interest & ~win_local, notlose)
-            if rest == 0:
+            fr.interest &= ~win_local
+            if fr.interest == 0:
                 stack.pop()
                 continue
-            fr.interest = rest
             fr.good = idx.pre_move(cov, fr.known, fr.good)
             new_moves = fr.good & moves_q1 & ~fr.strategy & ~fr.exclude
             if new_moves:

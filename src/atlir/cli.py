@@ -167,7 +167,7 @@ def _cmd_gen(args) -> int:
     model, _ = _generate(args.spec)
     modelio.save(model, args.output)
     print("wrote %s (%d states, %d transitions)"
-          % (args.output, len(model.states), len(model.transition)))
+          % (args.output, len(model.states), model.n_transitions))
     return 0
 
 

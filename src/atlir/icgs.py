@@ -22,6 +22,7 @@ access, so a caller reads it once, outside any loop.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from array import array
 from dataclasses import dataclass
@@ -69,6 +70,8 @@ class Icgs:
     ``itertools.product`` order of the agents' protocols (sorted tuples),
     -1 where the transition is missing and -2 where it leads to an
     undeclared state; None where some agent has no enabled action.
+    ``n_transitions`` is the number of entries the rows hold, the length of
+    :attr:`transition`.
     Duplicate protocol actions and transitions that fit no row are recorded
     at construction; :func:`validate` reports them with every other issue.
     Instances are immutable once built and may be shared freely across
@@ -100,7 +103,7 @@ class Icgs:
                     issues.append(ValidationIssue(
                         DUPLICATE_ACTION, "protocol of %r in %r lists an action "
                         "more than once: %r" % (ag, q, acts)))
-        self.rows = self._tabulate(transition)
+        self.rows, self.n_transitions = self._tabulate(transition)
         self.observation = {
             ag: dict(per_state) for ag, per_state in dict(observation).items()
         }
@@ -111,9 +114,10 @@ class Icgs:
         self._all_mask = (1 << len(self.states)) - 1
 
     def _tabulate(self, transition):
-        """The rows of ``transition``.  No key is looked up twice, as the
-        protocols hold no duplicates, so the entries that fit no row or
-        lead to an undeclared state need a scan only if there are some."""
+        """The rows of ``transition`` and the number of entries they hold.
+        No key is looked up twice, as the protocols hold no duplicates, so
+        the entries that fit no row or lead to an undeclared state need a
+        scan only if there are some."""
         code = dict(self._state_pos)  # .get(successor, -2): -2 if undeclared
         code[None] = -1  # no transition
         code = code.get
@@ -131,7 +135,7 @@ class Icgs:
             else:
                 rows.append(None)
         if landed == len(transition):
-            return rows
+            return rows, landed
 
         def dangling(msg):
             self._issues.append(ValidationIssue(DANGLING_REFERENCE, msg))
@@ -146,7 +150,7 @@ class Icgs:
                          % (q, joint))
             if succ not in self._state_pos:
                 dangling("transition from %r leads to unknown state %r" % (q, succ))
-        return rows
+        return rows, landed
 
     @property
     def transition(self) -> dict:
@@ -184,7 +188,7 @@ class Icgs:
 
     def __repr__(self):
         return "Icgs(%d agents, %d states, %d transitions)" % (
-            len(self.agents), len(self.states), len(self.transition))
+            len(self.agents), len(self.states), self.n_transitions)
 
     # -- lookups ------------------------------------------------------------
 
@@ -617,7 +621,12 @@ def step(model: Icgs, state, joint) -> str:
 
 
 def with_perfect_information(model: Icgs) -> Icgs:
-    """A copy of the model where every agent observes the exact state."""
-    observation = {ag: {q: q for q in model.states} for ag in model.agents}
-    return Icgs(model.agents, model.states, model.initial, model.actions,
-                model.protocol, model.transition, observation, model.labels)
+    """A copy of the model where every agent observes the exact state.
+
+    The copy shares the model's rows, protocols and the issues recorded at
+    construction, and builds its own coalition indexes.
+    """
+    pi = copy.copy(model)
+    pi.observation = {ag: {q: q for q in model.states} for ag in model.agents}
+    pi._indexes = {}
+    return pi

@@ -136,6 +136,15 @@ def test_gen_writes_loadable_document(capsys, tmp_path):
     assert code == 1
 
 
+def test_gen_reports_states_and_transitions(capsys, tmp_path):
+    out_path = tmp_path / "card.icgs.json"
+    code, out, _ = run(capsys, "gen", "cardgame", "-o", str(out_path))
+    assert code == 0
+    model = load(out_path)
+    assert out == "wrote %s (13 states, %d transitions)\n" % (
+        out_path, len(model.transition))
+
+
 def test_gen_castles_roundtrip(capsys, tmp_path):
     out_path = tmp_path / "castles.icgs.json"
     code, _, _ = run(capsys, "gen", "castles:1,1,2", "-o", str(out_path))

@@ -1,6 +1,7 @@
 """Structure queries: validation, moves, successors, indistinguishability."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -134,6 +135,37 @@ def test_transition_faults_are_reported_verbatim(faults):
     issues = {(issue.kind, issue.message)
               for issue in validate(faulty_model(faults))}
     assert issues == {issue for _, _, issue in faults}
+
+
+def test_perfect_information_copy_keeps_the_issues():
+    noted = icgs.Icgs(
+        ["g"], ["u"], ["u", "w"], {"g": ["a"]}, {"g": {"u": ["a"]}},
+        {("u", ("a",)): "u"}, {"g": {"u": "o"}}, {},
+        extra_issues=[icgs.ValidationIssue(
+            icgs.NONDETERMINISTIC_TRANSITION,
+            "two transitions from 'u' under ('a',) lead to 'u' and 'v'")])
+    for model in (faulty_model(TRANSITION_FAULTS), noted):
+        pi = with_perfect_information(model)
+        assert len(validate(model)) >= 2
+        assert validate(pi) == validate(model)
+        assert pi.rows is model.rows
+        assert pi.index(("g",)) is not model.index(("g",))
+
+
+def test_repr_counts_transitions_without_building_them(castles111):
+    tracemalloc.start()
+    try:
+        text = repr(castles111)
+        repr_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        count = len(castles111.transition)
+        dict_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "Icgs(%d agents, %d states, %d transitions)" % (
+        len(castles111.agents), len(castles111.states), count)
+    assert repr_peak * 50 < dict_peak
+    assert count == castles111.n_transitions == 11144
 
 
 def test_step_on_a_missing_transition_is_disabled():

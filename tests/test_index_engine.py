@@ -290,19 +290,23 @@ def test_pre_ce_and_moves_of_match_sweeps(label, idx):
 
 @pytest.mark.parametrize("label,idx", INDEXES, ids=[lab for lab, _ in INDEXES])
 def test_filter_ceu_from_a_closed_floor(label, idx):
+    """The fixpoint of ``small`` is a closed floor: every target ``t`` with
+    ``small <= t <= filter_ceu(q1, small)`` has the same fixpoint.  The
+    search filters once per seed on this."""
     rng = random.Random(label)
     n = idx.n_states
     for _ in range(4):
         q1 = random_mask(rng, n, rng.choice((0.5, 0.9, 1.0)))
         small = random_mask(rng, n, 0.05)
-        floor = idx.filter_ceu(q1, small)
-        assert floor == ref_filter_ceu(idx, q1, small)
+        fixpoint = idx.filter_ceu(q1, small)
+        assert fixpoint == ref_filter_ceu(idx, q1, small)
         for _ in range(3):
             grown = small | random_mask(rng, n, rng.choice((0.0, 0.05, 0.2)))
             expected = ref_filter_ceu(idx, q1, grown)
-            idx._filter_memo.clear()  # the floor, not the memo, must answer
-            assert idx.filter_ceu(q1, grown, floor=floor) == expected, label
-            assert idx.filter_ceu(q1, grown) == expected
+            assert idx.filter_ceu(q1, grown) == expected, label
+            between = small | (fixpoint & random_mask(rng, n, rng.choice((0.1, 0.5))))
+            assert ref_filter_ceu(idx, q1, between) == fixpoint, label
+        assert ref_filter_ceu(idx, q1, fixpoint) == fixpoint, label
 
 
 def stuck_model():

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import signal
+import tracemalloc
 
 import pytest
 
@@ -37,6 +38,20 @@ def test_load_save_identity_on_generated_models(cardgame):
 
 def test_castles_round_trip(castles111):
     assert loads(dumps(castles111)) == castles111
+
+
+def test_dumps_joins_the_indented_text_in_slices(castles111):
+    tracemalloc.start()
+    try:
+        sliced = dumps(castles111)
+        sliced_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        whole = json.dumps(to_document(castles111), indent=2, sort_keys=True) + "\n"
+        whole_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sliced == whole
+    assert sliced_peak * 2 < whole_peak
 
 
 def test_dumps_is_canonical(cardgame):
