@@ -152,8 +152,6 @@ class CoalitionIndex:
                 closure[i] |= cstates[tok[i]]
         self.closure_of = closure
 
-        self._filter_memo = {}
-
     # -- state-level operators ----------------------------------------------
 
     def move_id(self, state, picks):
@@ -240,19 +238,16 @@ class CoalitionIndex:
         return self.cover(self.pre_move(target_states))
 
     def filter_ceu(self, q1mask, target, stats=None):
-        """Least fixpoint of ``Z -> target | (q1 & pre_ce(Z))`` (memoised).
+        """Least fixpoint of ``Z -> target | (q1 & pre_ce(Z))``.
 
         The worklist starts from ``target`` and the states of ``q1`` with a
         move without successors; each round examines only the predecessors
         of the states the round before added.  ``stats.fixpoint_iterations``
         counts these rounds.  Every target between ``target`` and the result
-        has the same result, so the search calls it once per seed, on the
-        seed's coverage: the coverages it grows to stay inside the result.
+        has the same result, so the search calls it once per query, on the
+        whole until target: every maximal seed covers that target, and every
+        coverage a fragment grows to lies inside the result.
         """
-        key = (q1mask, target)
-        hit = self._filter_memo.get(key)
-        if hit is not None:
-            return hit
         z = frontier = target | (q1mask & self.stuck_states)
         succ = self.succ_mask
         pred = self.pred_moves
@@ -273,7 +268,6 @@ class CoalitionIndex:
             frontier = gain
         if stats is not None:
             stats.fixpoint_iterations += rounds
-        self._filter_memo[key] = z
         return z
 
     # -- conflicts ----------------------------------------------------------
@@ -342,17 +336,13 @@ class CoalitionIndex:
         Outputs are deduplicated structurally.  For ``maximal`` runs, outputs
         that are not genuinely maximal (a dropped input move could be added
         back without a conflict, which per-agent folds cannot rule out on
-        ragged inputs) are filtered away; full-product inputs skip the check.
+        ragged inputs) are filtered away.
         """
         k = len(self.gamma)
         if k == 0:
             yield movemask
             return
         seen = set()
-        # The shortcut pays for itself: without it each of the 20,736 seeds of
-        # castles 1,1,3 <<c1w1,c2w1>> F castle3_defeated takes a clash,
-        # 2.1 s -> 6.6 s for the check.
-        check_max = maximal and not self._is_uniform_product(movemask)
 
         def rec(mask, ai):
             if ai == k:
@@ -360,7 +350,7 @@ class CoalitionIndex:
                     return
                 seen.add(mask)
                 # maximal: no dropped input move can be added back
-                if check_max and movemask & ~mask & ~self.clash(mask):
+                if maximal and movemask & ~mask & ~self.clash(mask):
                     return
                 yield mask
                 return
@@ -368,24 +358,3 @@ class CoalitionIndex:
                 yield from rec(sub, ai + 1)
 
         yield from rec(movemask, 0)
-
-    def _is_uniform_product(self, movemask):
-        """True iff the set is a full action product over its states, with
-        class-uniform per-agent action sets; every maximal split of such a
-        set keeps one move per covered state and is maximal by construction."""
-        k = len(self.gamma)
-        class_acts = [dict() for _ in range(k)]
-        per_state = {}
-        for m in bits(movemask):
-            si = self.move_state[m]
-            per_state[si] = per_state.get(si, 0) + 1
-            for a in range(k):
-                acts = class_acts[a].setdefault(self.move_tok[a][m], set())
-                acts.add(self.move_action[m][a])
-        for si, count in per_state.items():
-            expected = 1
-            for a in range(k):
-                expected *= len(class_acts[a][self.tok[a][si]])
-            if count != expected:
-                return False
-        return True

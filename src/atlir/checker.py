@@ -16,11 +16,14 @@ every step the moves that surely re-enter the current fragment and do not
 clash with it (each frame carries the clash of its fragment) are split into
 conflict-free extensions, and the search backtracks over the alternatives
 while excluding moves it already set aside.
-Before a seed is grown, a state is abandoned when some indistinguishable state
-loses even under perfect information (no general strategy reaches the seed's
-coverage).  That filter runs once per seed: every state a fragment adds
-already reaches the coverage it grew from, so no fragment grown from the seed
-changes its answer.  A state is won as soon as the fragment covers its whole
+Before any seed is split, a state is abandoned when some indistinguishable
+state loses even under perfect information (no general strategy reaches the
+target through ``q1``).  That filter runs once per query: in a valid model
+every maximal seed covers the whole target (protocols agree across an
+observation class, so in a state a seed leaves uncovered each agent could
+take the action its class already uses, or any if the class has none, and
+conflict with nothing), and every state a fragment adds reaches the coverage
+it grew from.  A state is won as soon as the fragment covers its whole
 indistinguishability class.
 """
 
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import CoalitionMismatch, PreconditionViolation, UnsupportedOperator
+from .errors import PreconditionViolation, UnsupportedOperator
 from .formula import (
     Atom,
     CanNext,
@@ -41,7 +44,8 @@ from .formula import (
     normalize,
     parse,
 )
-from .icgs import Icgs, MoveSet, StateSet
+from .icgs import Icgs, MoveSet, StateSet, state_mask
+from .moveops import _check_set
 
 
 @dataclass
@@ -50,7 +54,7 @@ class CheckStats:
 
     strategies_explored: int = 0
     split_calls: int = 0
-    # worklist rounds of the reach-through fixpoint (memo hits add none)
+    # worklist rounds of the reach-through fixpoint
     fixpoint_iterations: int = 0
     max_depth: int = 0
 
@@ -134,7 +138,7 @@ def check(model: Icgs, f, cache: EvalCache = None,
     initial = 0
     for q in model.initial:
         initial |= 1 << model._state_pos[q]
-    qmask = model._all_mask if query is None else query.mask
+    qmask = model._all_mask if query is None else state_mask(model, query)
     if initial & ~qmask:
         raise PreconditionViolation("the query must contain the initial states")
     sat = _walk(model, cache, stats).sat(nf, qmask)
@@ -144,11 +148,9 @@ def check(model: Icgs, f, cache: EvalCache = None,
 def evaluate(model: Icgs, query: StateSet, f: Formula,
              cache: EvalCache = None) -> StateSet:
     """The states of ``query`` satisfying ``f`` (normalized internally)."""
-    if query.model is not model:
-        from .errors import ModelError
-        raise ModelError("query belongs to a different model")
+    qmask = state_mask(model, query)
     walk = _walk(model, cache, CheckStats())
-    return StateSet(model, walk.sat(normalize(f), query.mask))
+    return StateSet(model, walk.sat(normalize(f), qmask))
 
 
 def eval_ceu(model: Icgs, interest: StateSet, strategy: MoveSet,
@@ -166,26 +168,30 @@ def eval_ceu(model: Icgs, interest: StateSet, strategy: MoveSet,
 
     ``q2`` is not read: a state is won once the fragment covers its whole
     class, so the fragment itself carries the target (a caller seeds it with
-    moves of ``q2`` states).  The perfect-information filter runs once, on
-    the coverage of ``strategy``.
+    moves of ``q2`` states).  Since the fragment is arbitrary, the
+    perfect-information filter runs on its own coverage, once, before the
+    search grows it.
 
     ``interest`` must be closed under coalition indistinguishability,
     ``strategy`` conflict-free and disjoint from ``exclude``; violations
     raise :class:`PreconditionViolation` since they indicate a caller bug.
     """
-    if exclude.coalition != strategy.coalition:
-        raise CoalitionMismatch("strategy and exclude disagree on the coalition")
+    strategy = _check_set(model, strategy.coalition, strategy)
+    exclude = _check_set(model, strategy.coalition, exclude)
+    imask, q1mask = state_mask(model, interest), state_mask(model, q1)
+    state_mask(model, q2)  # unread, but held to the same model
     idx = model.index(strategy.coalition)
     if idx.is_conflicting(strategy.mask):
         raise PreconditionViolation("strategy is conflicting")
     if strategy.mask & exclude.mask:
         raise PreconditionViolation("exclude overlaps the strategy")
-    if idx.closure(interest.mask) != interest.mask:
+    if idx.closure(imask) != imask:
         raise PreconditionViolation(
             "interest is not closed under coalition indistinguishability")
     stats = CheckStats()
-    won = _ceu_search(idx, interest.mask, strategy.mask, q1.mask,
-                      idx.moves_of(q1.mask), exclude.mask, stats)
+    notlose = idx.filter_ceu(q1mask, idx.cover(strategy.mask), stats)
+    won = _ceu_search(idx, idx.closed_within(imask, notlose), strategy.mask,
+                      idx.moves_of(q1mask), exclude.mask, stats)
     return StateSet(model, won)
 
 
@@ -220,16 +226,21 @@ def _search(stats, walk, f, qmask):
         q1 = walk.full(f.lhs)
         q2 = walk.full(f.rhs)
         # States whose whole indistinguishability class already satisfies
-        # the target need no strategy at all.
+        # the target need no strategy at all.  The others are abandoned when
+        # some indistinguishable state loses even under perfect information:
+        # every seed covers all of q2, so this is each seed's filter too.
         sat = idx.closed_within(interest, q2)
-        if sat == interest:
-            return sat & qmask
+        if sat != interest:
+            interest = idx.closed_within(interest,
+                                         idx.filter_ceu(q1, q2, stats))
         moves_q1 = idx.moves_of(q1)
         seeds = idx.moves_of(q2)
 
         def grow(seed, remaining):
-            return _ceu_search(idx, remaining, seed, q1, moves_q1, 0, stats)
+            return _ceu_search(idx, remaining, seed, moves_q1, 0, stats)
     remaining = interest & ~sat
+    if remaining == 0:
+        return sat & qmask
     stats.split_calls += 1
     for seed in idx.split_all(seeds, True):
         stats.strategies_explored += 1
@@ -270,26 +281,26 @@ class _Frame:
         self.new_moves = 0
 
 
-def _ceu_search(idx, interest, strategy, q1mask, moves_q1, exclude, stats):
+def _ceu_search(idx, interest, strategy, moves_q1, exclude, stats):
     """Backtracking growth of one conflict-free strategy fragment.
 
     Implements the recursive search with an explicit stack: the recursion
     depth is bounded by the number of coalition moves, which can exceed the
     interpreter's limit.  ``won`` accumulates across the whole tree; every
     resumed frame drops the states its descendants already won.
-    ``moves_q1`` is ``idx.moves_of(q1mask)``.
+    ``moves_q1`` is ``idx.moves_of(q1)``.
 
-    A state is abandoned up front when some indistinguishable state lies
-    outside ``N = filter_ceu(q1, cov)``, the states that reach the root's
-    coverage ``cov`` under perfect information.  The filter runs once, for
-    the root: a frame only adds states of ``q1`` with a move surely entering
-    its parent's coverage, so every coverage ``X`` below the root satisfies
-    ``cov <= X <= N``, and then ``filter_ceu(q1, X) == N``.
+    The caller has already dropped the states that lose under perfect
+    information: ``filter_ceu(q1, T)`` for the whole until target ``T``
+    (which every maximal seed covers in a valid model) or for the root's
+    coverage ``cov``.  No frame could prune more: a frame only adds states of
+    ``q1`` with a move surely entering its parent's coverage, so every
+    coverage ``X`` below the root satisfies ``cov <= X <= N`` for
+    ``N = filter_ceu(q1, cov)``, and then ``filter_ceu(q1, X) == N``.
     """
-    cov = idx.cover(strategy)
-    interest = idx.closed_within(interest, idx.filter_ceu(q1mask, cov, stats))
     won = 0
-    stack = [_Frame(interest, strategy, exclude, cov, strategy)]
+    stack = [_Frame(interest, strategy, exclude, idx.cover(strategy),
+                    strategy)]
     while stack:
         if len(stack) > stats.max_depth:
             stats.max_depth = len(stack)

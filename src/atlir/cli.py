@@ -9,14 +9,19 @@ Exit codes of ``check``: 0 when every formula holds, 1 when some formula
 fails, 2 on any error, 3 when ``--oracle`` finds a disagreement between the
 checker and the exhaustive oracle.
 
-The ``--json`` report's ``timings`` are ``load_s`` (load or generate the
-model), ``index_s`` (build the index of every coalition the formulas name)
-and ``check_s`` (parse and check the formulas, with the oracle if asked).
+Each ``--json`` result carries the search statistics of its check
+(``stats``: strategies explored, split calls, fixpoint iterations, maximum
+depth), all zero but the fixpoint count when the perfect-information filter
+alone decided the query.  The report's ``timings`` are ``load_s`` (load or
+generate the model), ``index_s`` (build the index of every coalition the
+formulas name) and ``check_s`` (parse and check the formulas, with the
+oracle if asked).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -116,6 +121,7 @@ def _cmd_check(args) -> int:
             "formula": text,
             "holds": outcome.holds,
             "sat_count": len(outcome.sat),
+            "stats": dataclasses.asdict(outcome.stats),
         }
         if args.list_sat:
             entry["sat"] = list(outcome.sat)

@@ -363,6 +363,20 @@ class StateSet:
         return "StateSet({%s})" % ", ".join(sorted(self.ids()))
 
 
+def state_mask(model: Icgs, qs: StateSet) -> int:
+    """The mask of ``qs``, which must be a state set of ``model``.
+
+    Every public operator that takes a state set checks it here, so a set
+    from another model raises :class:`ModelError` instead of indexing past
+    the model's tables.
+    """
+    if not isinstance(qs, StateSet):
+        raise TypeError("expected a StateSet, got %r" % (qs,))
+    if qs.model is not model:
+        raise ModelError("state set belongs to a different model")
+    return qs.mask
+
+
 class MoveSet:
     """An immutable set of moves of one coalition over one model.
 
@@ -566,13 +580,13 @@ def moves_of(model: Icgs, coalition, qs: StateSet) -> MoveSet:
     """The enabled coalition moves whose state lies in ``qs``."""
     gamma = model.coalition(coalition)
     idx = model.index(gamma)
-    return MoveSet(model, gamma, idx.moves_of(qs.mask))
+    return MoveSet(model, gamma, idx.moves_of(state_mask(model, qs)))
 
 
 def post_states(model: Icgs, qs: StateSet) -> StateSet:
     """All one-step successors of states of ``qs`` (any joint action)."""
     idx = model.index(())
-    return StateSet(model, idx.post(qs.mask))
+    return StateSet(model, idx.post(state_mask(model, qs)))
 
 
 def gamma_closure(model: Icgs, coalition, qs: StateSet) -> StateSet:
@@ -584,7 +598,7 @@ def gamma_closure(model: Icgs, coalition, qs: StateSet) -> StateSet:
     """
     gamma = model.coalition(coalition)
     idx = model.index(gamma)
-    return StateSet(model, idx.closure(qs.mask))
+    return StateSet(model, idx.closure(state_mask(model, qs)))
 
 
 def step(model: Icgs, state, joint) -> str:

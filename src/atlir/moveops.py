@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import AgentNotInCoalition, CoalitionMismatch, ModelError
-from .icgs import Icgs, Move, MoveSet, StateSet
+from .icgs import Icgs, Move, MoveSet, StateSet, state_mask
 
 
 def _check_set(model, coalition, ms: MoveSet):
@@ -44,15 +44,15 @@ def conflicting(model: Icgs, m1: Move, m2: Move) -> bool:
 
 def is_conflicting(model: Icgs, ms: MoveSet) -> bool:
     """True iff the set contains two conflicting moves."""
+    ms = _check_set(model, ms.coalition, ms)
     idx = model.index(ms.coalition)
     return idx.is_conflicting(ms.mask)
 
 
 def compatible(model: Icgs, candidates: MoveSet, base: MoveSet) -> MoveSet:
     """The candidate moves that conflict with no move of ``base``."""
-    if candidates.coalition != base.coalition:
-        raise CoalitionMismatch(
-            "candidate and base move sets disagree on the coalition")
+    candidates = _check_set(model, candidates.coalition, candidates)
+    base = _check_set(model, candidates.coalition, base)
     idx = model.index(candidates.coalition)
     return MoveSet(model, candidates.coalition,
                    idx.compatible(candidates.mask, base.mask))
@@ -66,7 +66,7 @@ def pre_ce(model: Icgs, coalition, target: StateSet) -> StateSet:
     """
     gamma = model.coalition(coalition)
     idx = model.index(gamma)
-    return StateSet(model, idx.pre_ce(target.mask))
+    return StateSet(model, idx.pre_ce(state_mask(model, target)))
 
 
 def pre_move(model: Icgs, coalition, base: MoveSet) -> MoveSet:
@@ -81,7 +81,8 @@ def filter_ceu(model: Icgs, coalition, q1: StateSet, q2: StateSet) -> StateSet:
     ``q2`` through ``q1``: the least fixpoint of ``Z -> q2 | (q1 & pre(Z))``."""
     gamma = model.coalition(coalition)
     idx = model.index(gamma)
-    return StateSet(model, idx.filter_ceu(q1.mask, q2.mask))
+    return StateSet(model, idx.filter_ceu(state_mask(model, q1),
+                                          state_mask(model, q2)))
 
 
 def split_agent(model: Icgs, agent, coalition, ms: MoveSet,

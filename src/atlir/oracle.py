@@ -27,7 +27,7 @@ from functools import partial
 from .checker import Walk
 from .errors import EnumerationCapExceeded, IncompleteStrategy
 from .formula import CanNext, normalize
-from .icgs import GroupAction, Icgs, Move, MoveSet, StateSet, bits
+from .icgs import GroupAction, Icgs, Move, MoveSet, StateSet, bits, state_mask
 
 DEFAULT_CAP = 10 ** 6
 
@@ -132,8 +132,8 @@ def strategy_sat_u(model: Icgs, strategy: UniformStrategy,
     """States from which every outcome of the strategy reaches ``q2``
     through ``q1``: the until objective under a fixed memoryless strategy is
     the least fixpoint of ``Z -> q2 | (q1 & all-successors-in-Z)``."""
+    q1mask, q2mask = state_mask(model, q1), state_mask(model, q2)
     succ = _strategy_succ(model, strategy)
-    q1mask, q2mask = q1.mask, q2.mask
     z = q2mask
     while True:
         nz = q2mask

@@ -51,6 +51,8 @@ def test_json_report_schema_and_determinism(capsys):
     assert entry["holds"] is False
     assert entry["sat_count"] == len(entry["sat"]) == 3
     assert entry["sat"] == ["show_AK", "show_KQ", "show_QA"]
+    assert entry["stats"] == {"strategies_explored": 27, "split_calls": 2,
+                              "fixpoint_iterations": 3, "max_depth": 2}
     assert "timings" in report
     _, out2, _ = run(capsys, "check", "--gen", "cardgame", "--json",
                      "--list-sat", "--all-states", "<<player>> F win")

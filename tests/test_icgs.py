@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from atlir import icgs, modelio
+from atlir.checker import check, eval_ceu, evaluate
 from atlir.errors import (
     CoalitionMismatch,
     DisabledJointAction,
@@ -13,6 +14,7 @@ from atlir.errors import (
     UnknownAgent,
     UnknownState,
 )
+from atlir.formula import TRUE
 from atlir.icgs import (
     DUPLICATE_ACTION,
     EMPTY_PROTOCOL,
@@ -30,6 +32,8 @@ from atlir.icgs import (
     validate,
     with_perfect_information,
 )
+from atlir.moveops import compatible, filter_ceu, is_conflicting, pre_ce
+from atlir.oracle import enumerate_uniform, strategy_sat_u
 
 from corpus import make_model, random_model
 
@@ -458,3 +462,37 @@ def test_perfect_information_transform(cardgame):
         for q in pi.states:
             closure = gamma_closure(pi, [ag], pi.state_set([q]))
             assert closure.ids() == {q}
+
+
+# Every public entry that takes a state or move set, called on the card game
+# with one argument taken from castles 1,1,1 (``states``, ``moves``).
+def _fragment(m):
+    return MoveSet(m, ("player",), 0)
+
+
+FOREIGN_CALLS = {
+    "check": lambda m, states, moves: check(m, "true", query=states),
+    "evaluate": lambda m, states, moves: evaluate(m, states, TRUE),
+    "eval_ceu-interest": lambda m, states, moves: eval_ceu(
+        m, states, _fragment(m), m.all_states(), m.labeled("win"), _fragment(m)),
+    "eval_ceu-q1": lambda m, states, moves: eval_ceu(
+        m, m.all_states(), _fragment(m), states, m.labeled("win"), _fragment(m)),
+    "pre_ce": lambda m, states, moves: pre_ce(m, ["player"], states),
+    "filter_ceu": lambda m, states, moves: filter_ceu(
+        m, ["player"], states, m.labeled("win")),
+    "moves_of": lambda m, states, moves: moves_of(m, ["player"], states),
+    "post_states": lambda m, states, moves: post_states(m, states),
+    "gamma_closure": lambda m, states, moves: gamma_closure(m, ["player"], states),
+    "strategy_sat_u": lambda m, states, moves: strategy_sat_u(
+        m, next(enumerate_uniform(m, ["player"])), states, m.labeled("win")),
+    "compatible": lambda m, states, moves: compatible(
+        m, moves, all_moves(m, ["player"])),
+    "is_conflicting": lambda m, states, moves: is_conflicting(m, moves),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FOREIGN_CALLS))
+def test_sets_of_another_model_are_rejected(entry, cardgame, castles111):
+    with pytest.raises(ModelError):
+        FOREIGN_CALLS[entry](cardgame, castles111.all_states(),
+                             all_moves(castles111, ["c1w1"]))

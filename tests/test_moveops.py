@@ -1,5 +1,6 @@
 """Move algebra: conflicts, compatibility, predecessors, splitting."""
 
+import itertools
 import random
 
 import pytest
@@ -376,6 +377,32 @@ def test_split_max_preserves_coverage_of_whole_class_inputs():
         ms = moves_of(model, gamma, qs)
         for sub in split_max(model, gamma, ms):
             assert sub.covered_states() == qs
+
+
+def _corpus_models():
+    rng = random.Random(151)
+    return [random_model(rng) for _ in range(30)]
+
+
+# castles 1,1,1 stops at coalitions of two, <<c1w1,c2w1>> among them (20,736
+# seeds over castle3_defeated); the three-agent split would double the cost
+@pytest.mark.parametrize("source,max_size",
+                         [("corpus", 3), ("cardgame", 2), ("castles111", 2)])
+def test_every_maximal_seed_covers_the_whole_target(source, max_size, request):
+    # The checker filters once per query, on the whole until target, because
+    # in a valid model every maximal seed over moves_of(q2) covers q2: a
+    # state left uncovered could still take the action its class uses.
+    models = (_corpus_models() if source == "corpus"
+              else [request.getfixturevalue(source)])
+    for model in models:
+        atoms = sorted({p for q in model.states for p in model.labels[q]})
+        for size in range(1, max_size + 1):
+            for gamma in itertools.combinations(model.agents, size):
+                for atom in atoms:
+                    seeds = moves_of(model, gamma, model.labeled(atom))
+                    covered = seeds.covered_states()
+                    for seed in split_all(model, gamma, seeds, True):
+                        assert seed.covered_states() == covered
 
 
 def test_split_streams_are_deterministic():
