@@ -65,13 +65,15 @@ class Icgs:
     an observation token, and ``labels`` a map from state to atomic
     propositions.
 
-    ``transition`` is kept only as :attr:`rows`: per state position, an
+    The transitions are kept only as :attr:`rows`: per state position, an
     ``array('i')`` with the successor position of each joint action in
     ``itertools.product`` order of the agents' protocols (sorted tuples),
-    -1 where the transition is missing and -2 where it leads to an
-    undeclared state; None where some agent has no enabled action.
-    ``n_transitions`` is the number of entries the rows hold, the length of
-    :attr:`transition`.
+    -1 where the transition is missing; None where some agent has no enabled
+    action.  A generator may pass them as the keyword-only ``rows`` with
+    ``transition`` None; a ``transition`` mapping is tabulated into them,
+    and its entries that lead to an undeclared state read -2.  Rows that do
+    not fit the protocols raise :class:`ModelError`.  ``n_transitions`` is
+    the number of entries the rows hold, the length of :attr:`transition`.
     Duplicate protocol actions and transitions that fit no row are recorded
     at construction; :func:`validate` reports them with every other issue.
     Instances are immutable once built and may be shared freely across
@@ -79,7 +81,7 @@ class Icgs:
     """
 
     def __init__(self, agents, states, initial, actions, protocol,
-                 transition, observation, labels, extra_issues=()):
+                 transition, observation, labels, extra_issues=(), *, rows=None):
         self.agents = tuple(agents)
         self.states = tuple(states)
         if len(set(self.agents)) != len(self.agents):
@@ -103,7 +105,12 @@ class Icgs:
                     issues.append(ValidationIssue(
                         DUPLICATE_ACTION, "protocol of %r in %r lists an action "
                         "more than once: %r" % (ag, q, acts)))
-        self.rows, self.n_transitions = self._tabulate(transition)
+        if (rows is None) == (transition is None):
+            raise ModelError("give the transitions either as a mapping or as rows")
+        self.rows = self._tabulate(transition) if rows is None else rows
+        self.n_transitions = self._check_rows()
+        if transition is not None and self.n_transitions != len(transition):
+            self._misfits(transition)
         self.observation = {
             ag: dict(per_state) for ag, per_state in dict(observation).items()
         }
@@ -114,43 +121,68 @@ class Icgs:
         self._all_mask = (1 << len(self.states)) - 1
 
     def _tabulate(self, transition):
-        """The rows of ``transition`` and the number of entries they hold.
-        No key is looked up twice, as the protocols hold no duplicates, so
-        the entries that fit no row or lead to an undeclared state need a
-        scan only if there are some."""
-        code = dict(self._state_pos)  # .get(successor, -2): -2 if undeclared
-        code[None] = -1  # no transition
-        code = code.get
+        """The rows of a ``transition`` mapping, -1 wherever it has no
+        declared successor."""
+        code = self._state_pos.get
         target = transition.get
         protocols = [self.protocol.get(ag, {}) for ag in self.agents]
         rows = []
-        landed = 0
         for q in self.states:
             proto = [per_state.get(q, ()) for per_state in protocols]
-            if all(proto):
-                row = array("i", [code(target((q, joint)), -2)
-                                  for joint in itertools.product(*proto)])
-                landed += len(row) - row.count(-1) - row.count(-2)
-                rows.append(row)
-            else:
-                rows.append(None)
-        if landed == len(transition):
-            return rows, landed
+            rows.append(array("i", [code(target((q, joint)), -1)
+                                    for joint in itertools.product(*proto)])
+                        if all(proto) else None)
+        return rows
 
+    def _check_rows(self):
+        """The number of transitions the rows hold.  Raises ModelError
+        unless each state's row has one entry per joint action, or is None
+        where some agent has no enabled action, and every entry is -1 or a
+        state position."""
+        rows = self.rows
+        if len(rows) != len(self.states):
+            raise ModelError("%d rows for %d states" % (len(rows), len(self.states)))
+        protocols = [self.protocol.get(ag, {}) for ag in self.agents]
+        last = len(self.states) - 1
+        count = 0
+        for q, row in zip(self.states, rows):
+            width = 1
+            for per_state in protocols:
+                width *= len(per_state.get(q, ()))
+            if row is None and width == 0:
+                continue
+            if row is None or width == 0 or len(row) != width:
+                raise ModelError("the row of %r does not fit its %d joint actions"
+                                 % (q, width))
+            if min(row) < -1 or max(row) > last:
+                raise ModelError("the row of %r holds an entry outside -1..%d"
+                                 % (q, last))
+            count += width - row.count(-1)
+        return count
+
+    def _misfits(self, transition):
+        """Record an issue for every entry of ``transition`` that fits no row
+        or leads to an undeclared state; the row slot of the latter is -2,
+        so that it is not reported missing as well."""
         def dangling(msg):
             self._issues.append(ValidationIssue(DANGLING_REFERENCE, msg))
 
+        protocols = [self.protocol.get(ag, {}) for ag in self.agents]
         for (q, joint), succ in transition.items():
             i = self._state_pos.get(q)
             if i is None:
                 dangling("transition from unknown state %r" % (q,))
-            elif rows[i] is None or len(joint) != len(protocols) or not all(
+            elif self.rows[i] is None or len(joint) != len(protocols) or not all(
                     a in per_state[q] for a, per_state in zip(joint, protocols)):
                 dangling("transition from %r under disabled joint action %r"
                          % (q, joint))
+            elif succ not in self._state_pos:
+                slot = 0
+                for a, per_state in zip(joint, protocols):
+                    slot = slot * len(per_state[q]) + per_state[q].index(a)
+                self.rows[i][slot] = -2
             if succ not in self._state_pos:
                 dangling("transition from %r leads to unknown state %r" % (q, succ))
-        return rows, landed
 
     @property
     def transition(self) -> dict:

@@ -23,6 +23,8 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+from array import array
+from json.encoder import encode_basestring_ascii as esc
 
 from .errors import CapExceeded, DocumentError
 from .icgs import NONDETERMINISTIC_TRANSITION, Icgs, ValidationIssue
@@ -81,32 +83,31 @@ def from_document(doc) -> Icgs:
         protocol[ag] = {q: _string_list(acts, "protocol[%r][%r]" % (ag, q))
                         for q, acts in _object(per_state, "protocol[%r]" % ag).items()}
 
-    if not isinstance(doc["transitions"], list):
+    triples = doc["transitions"]
+    if not isinstance(triples, list):
         raise DocumentError("'transitions' must be a list of triples")
+    agent_set = set(agents)
     transition = {}
     issues = []
-    for k, entry in enumerate(doc["transitions"]):
-        where = "transitions[%d]" % k
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise DocumentError("expected a [from, {agent: action}, to] triple", where)
+    for k, entry in enumerate(triples):
+        if not (type(entry) is list and len(entry) == 3
+                and type(entry[0]) is str and type(entry[2]) is str
+                and type(entry[1]) is dict and entry[1].keys() == agent_set):
+            _check_entry(k, entry, agents)
         source, joint_map, target = entry
-        source = _string(source, where + ".from")
-        target = _string(target, where + ".to")
-        joint_map = _object(joint_map, where + ".action")
-        extra = set(joint_map) - set(agents)
-        missing = set(agents) - set(joint_map)
-        if extra:
-            raise DocumentError("action for unknown agent %r" % sorted(extra)[0], where)
-        if missing:
-            raise DocumentError("no action for agent %r" % sorted(missing)[0], where)
-        joint = tuple(_string(joint_map[ag], where) for ag in agents)
-        prev = transition.get((source, joint))
-        if prev is not None and prev != target:
+        joint = tuple(map(joint_map.__getitem__, agents))
+        try:
+            "".join(joint)  # raises TypeError iff an action is no string
+        except TypeError:
+            _check_entry(k, entry, agents)
+        key = (source, joint)
+        prev = transition.setdefault(key, target)
+        if prev != target:
             issues.append(ValidationIssue(
                 NONDETERMINISTIC_TRANSITION,
                 "two transitions from %r under %r lead to %r and %r"
                 % (source, joint, prev, target)))
-        transition[(source, joint)] = target
+            transition[key] = target
 
     model = Icgs(agents, states, initial, actions, protocol, transition, obs,
                  labels, extra_issues=issues)
@@ -115,10 +116,16 @@ def from_document(doc) -> Icgs:
 
 def to_document(model: Icgs) -> dict:
     """The canonical document of a model (sorted keys and lists)."""
-    transitions = sorted(
+    doc = _header(model)
+    doc["transitions"] = sorted(
         ([q, dict(zip(model.agents, joint)), target]
          for (q, joint), target in model.transition.items()),
         key=lambda entry: (entry[0], tuple(sorted(entry[1].items())), entry[2]))
+    return doc
+
+
+def _header(model: Icgs) -> dict:
+    """Every part of the canonical document but the transitions."""
     return {
         "agents": sorted(model.agents),
         "actions": {ag: sorted(acts) for ag, acts in model.actions.items()},
@@ -130,24 +137,100 @@ def to_document(model: Icgs) -> dict:
                 for ag, per in model.observation.items()},
         "protocol": {ag: {q: sorted(acts) for q, acts in sorted(per.items())}
                      for ag, per in model.protocol.items()},
-        "transitions": transitions,
     }
 
 
 def dumps(model: Icgs) -> str:
-    # The same text as ``json.dumps(..., indent=2, sort_keys=True)``, joined
-    # in slices: that call keeps every chunk of the indented document (about
-    # 15 small strings per transition) until one final join, a peak of 99 MB
-    # on castles 1,1,2 against 28 MB here.
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(
-        to_document(model))
-    parts = iter(lambda: "".join(itertools.islice(chunks, 8192)), "")
-    return "".join([*parts, "\n"])
+    """The canonical text of a model: ``json.dumps(to_document(model),
+    indent=2, sort_keys=True)`` and a final newline."""
+    return "".join(_text_chunks(model))
 
 
 def save(model: Icgs, path):
+    """Write the canonical text of a model as it is produced."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(model))
+        handle.writelines(_text_chunks(model))
+
+
+def _text_chunks(model: Icgs):
+    """The canonical text in pieces, one per state for the transitions.
+
+    The header goes through ``json.dumps``; the transitions are written
+    straight from :attr:`Icgs.rows` with the indentation that call would
+    give them, every name escaped once as it would escape it.  The canonical
+    order of a state's transitions is the product of its sorted protocols
+    taken in sorted agent order, so each entry reads the row slot of its
+    joint action and no entry is sorted.
+    """
+    header = json.dumps({**_header(model), "transitions": []},
+                        indent=2, sort_keys=True)
+    # "transitions" sorts last, so the header ends with its empty list.
+    yield header[:-3]
+    agents = model.agents
+    order = sorted(range(len(agents)), key=agents.__getitem__)
+    protocols = [model.protocol.get(ag, {}) for ag in agents]
+    targets = [esc(q) + "\n    ]" for q in model.states]
+    joints = {}  # menus -> (joint texts in canonical order, their row slots)
+    sep = ""
+    for q in sorted(model.states):
+        row = model.rows[model._state_pos[q]]
+        if row is None:
+            continue
+        menus = tuple(per_state[q] for per_state in protocols)
+        known = joints.get(menus)
+        if known is None:
+            known = joints[menus] = _joint_texts(agents, menus, order)
+        texts, slots = known
+        if slots is not None:
+            row = map(row.__getitem__, slots)
+        head = "\n    [\n      " + esc(q) + ",\n      "
+        entries = [head + text + targets[t] for text, t in zip(texts, row)
+                   if t >= 0]
+        if entries:
+            yield sep + ",".join(entries)
+            sep = ","
+    yield "\n  ]\n}\n" if sep else "]\n}\n"
+
+
+def _joint_texts(agents, menus, order):
+    """The indented text of each joint action over ``menus`` (one sorted
+    protocol per agent, in model order), in the product order of sorted
+    agents, and the row slot of each (None when that is the row order)."""
+    pieces = [["\n        %s: %s" % (esc(agents[j]), esc(a)) for a in menus[j]]
+              for j in order]
+    texts = ["{%s\n      },\n      " % ",".join(combo) if combo
+             else "{},\n      " for combo in itertools.product(*pieces)]
+    if order == sorted(order):
+        return texts, None
+    weights = [1] * len(menus)  # a slot is a mixed-radix number in model order
+    for j in range(len(menus) - 2, -1, -1):
+        weights[j] = weights[j + 1] * len(menus[j + 1])
+    slots = list(map(sum, itertools.product(
+        *[range(0, weights[j] * len(menus[j]), weights[j]) for j in order])))
+    return texts, slots
+
+
+def _check_entry(k, entry, agents):
+    """Raise the error of the first condition transition ``k`` violates.
+
+    The loader's inline checks ask for exact types; an entry they turn away
+    comes here, and one that only uses subclasses of list, dict or str
+    passes."""
+    where = "transitions[%d]" % k
+    if not (isinstance(entry, list) and len(entry) == 3):
+        raise DocumentError("expected a [from, {agent: action}, to] triple", where)
+    source, joint_map, target = entry
+    _string(source, where + ".from")
+    _string(target, where + ".to")
+    _object(joint_map, where + ".action")
+    extra = set(joint_map) - set(agents)
+    missing = set(agents) - set(joint_map)
+    if extra:
+        raise DocumentError("action for unknown agent %r" % sorted(extra)[0], where)
+    if missing:
+        raise DocumentError("no action for agent %r" % sorted(missing)[0], where)
+    for ag in agents:
+        _string(joint_map[ag], where)
 
 
 def _string(value, where):
@@ -302,46 +385,49 @@ def gen_castles(n1: int, n2: int, n3: int) -> Icgs:
         new_ready = tuple(not code >> ready_shift + i & 1
                           for i in range(len(agents)))
         succ = (new_hp, new_ready, False)
-        tid = ids.get(succ)
-        if tid is None:
-            tid = ids[succ] = state_id(*succ)
+        d = found.get(succ)
+        if d is None:
+            d = found[succ] = len(found)
             frontier.append(succ)
-        return tid
+        return d
 
     initial = ((3, 3, 3), (True,) * len(agents), True)
-    ids = {initial: state_id(*initial)}
+    found = {initial: 0}  # state -> discovery index
+    rows = {}  # discovery index -> row of successor discovery indices
     protocol = {w: {} for w in agents}
     observation = {w: {} for w in agents}
-    transition = {}
-    after = {}  # hit points -> {joint effect: successor id}
+    after = {}  # hit points -> {joint effect: successor discovery index}
     frontier = [initial]
     while frontier:
         hp, ready, init = state = frontier.pop()
-        sid = ids[state]
+        sid = state_id(*state)
         status = "_df%d%d%d%s" % (hp[0] == 0, hp[1] == 0, hp[2] == 0,
                                   "_init" if init else "")
-        menus = []
         effects = []
         for i, w in enumerate(agents):
             acts, eff = menu(i, hp[own[i]] == 0, ready[i])
             protocol[w][sid] = list(acts)
             observation[w][sid] = ("cd1" if ready[i] else "cd0") + status
-            menus.append(acts)
             effects.append(eff)
-        # One effect per joint action, in the order of product(*menus); a
-        # successor is computed once per new (hit points, effect) pair, in
-        # the order the joint actions first reach it.
+        # One effect per joint action, in the order of the product of the
+        # menus; a successor is computed once per new (hit points, effect)
+        # pair, in the order the joint actions first reach it.
         codes = list(map(sum, itertools.product(*effects)))
         known = after.setdefault(hp, {})
         for code in dict.fromkeys(codes):
             if code not in known:
                 known[code] = successor(hp, code)
-        transition.update(zip(zip(itertools.repeat(sid), itertools.product(*menus)),
-                              map(known.__getitem__, codes)))
+        rows[found[state]] = array("i", map(known.__getitem__, codes))
 
-    states = sorted(ids.values())
+    names = [state_id(*state) for state in found]
+    states = sorted(names)
+    position = {q: i for i, q in enumerate(states)}
+    remap = [position[q] for q in names]  # discovery index -> position
+    by_position = [None] * len(states)
+    for d, i in enumerate(remap):
+        by_position[i] = array("i", map(remap.__getitem__, rows.pop(d)))
     labels = {}
-    for (hp, _, _), sid in ids.items():
+    for (hp, _, _), sid in zip(found, names):
         props = []
         if hp[2] == 0:
             props.append("castle3_defeated")
@@ -350,8 +436,8 @@ def gen_castles(n1: int, n2: int, n3: int) -> Icgs:
         if props:
             labels[sid] = props
 
-    return Icgs(agents, states, [ids[initial]], actions, protocol, transition,
-                observation, labels)
+    return Icgs(agents, states, [names[0]], actions, protocol, None,
+                observation, labels, rows=by_position)
 
 
 def model_depth(model: Icgs) -> int:

@@ -1,9 +1,15 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# Tests that start ``python -m atlir`` in a child process import the package
+# from this checkout as well.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).parent.parent / "src"),
+                  os.environ.get("PYTHONPATH")]))
 
 from atlir import icgs, modelio
 

@@ -310,7 +310,7 @@ def test_eval_cache_entries_match_fresh_evaluation(cardgame):
 
 def test_check_reports_holds_and_stats():
     from atlir.modelio import gen_cardgame
-    model = gen_cardgame()  # fresh: fixpoint counters skip memoised results
+    model = gen_cardgame()
     result = check(model, "true")
     assert result.holds
     assert result.sat == model.all_states()

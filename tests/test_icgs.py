@@ -1,7 +1,9 @@
 """Structure queries: validation, moves, successors, indistinguishability."""
 
+import itertools
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -172,6 +174,38 @@ def test_repr_counts_transitions_without_building_them(castles111):
     assert count == castles111.n_transitions == 11144
 
 
+def test_rows_in_place_of_the_transition_mapping():
+    model = faulty_model([TRANSITION_FAULTS[0]])  # u under b is missing
+
+    def with_rows(rows, transition=None):
+        return icgs.Icgs(model.agents, model.states, model.initial,
+                         model.actions, model.protocol, transition,
+                         model.observation, {}, rows=rows)
+
+    assert model.rows == [array("i", [1, -1]), array("i", [0])]
+    same = with_rows([array("i", [1, -1]), array("i", [0])])
+    assert same == model and same.n_transitions == model.n_transitions == 2
+    assert validate(same) == validate(model)
+    misfits = ([array("i", [1, -1])],                 # one row for two states
+               [array("i", [1]), array("i", [0])],    # one entry for two joints
+               [array("i", [1, -1]), None],           # None for an enabled state
+               [array("i", [1, -2]), array("i", [0])],  # below -1
+               [array("i", [1, 2]), array("i", [0])])   # past the last state
+    for rows in misfits:
+        with pytest.raises(ModelError):
+            with_rows(rows)
+    with pytest.raises(ModelError):
+        with_rows(model.rows, model.transition)
+    with pytest.raises(ModelError):
+        with_rows(None)
+    # a state where an agent has no action has no row
+    idle = make_model(["g"], ["u"], {"g": {"u": []}}, {}, {"g": {"u": "o"}})
+    assert idle.rows == [None]
+    with pytest.raises(ModelError):
+        icgs.Icgs(idle.agents, idle.states, idle.initial, idle.actions,
+                  idle.protocol, None, idle.observation, {}, rows=[array("i")])
+
+
 def test_step_on_a_missing_transition_is_disabled():
     model = faulty_model(TRANSITION_FAULTS)
     assert step(model, "v", ("a",)) == "u"
@@ -182,15 +216,25 @@ def test_step_on_a_missing_transition_is_disabled():
 
 
 def generated(monkeypatch, gen, *params):
-    """A generated model, and the transition dict the generator passed."""
+    """A generated model, and the transition dict the generator passed: its
+    mapping, or its rows read through the product of its sorted protocols."""
     passed = {}
 
-    def capture(*args):
-        passed["transition"] = dict(args[5])
-        return icgs.Icgs(*args)
+    def capture(*args, **kwargs):
+        passed["args"] = args, kwargs
+        return icgs.Icgs(*args, **kwargs)
 
     monkeypatch.setattr(modelio, "Icgs", capture)
-    return gen(*params), passed["transition"]
+    model = gen(*params)
+    (agents, states, _, _, protocol, transition, *_), kwargs = passed["args"]
+    if transition is not None:
+        return model, dict(transition)
+    transition = {}
+    for q, row in zip(states, kwargs["rows"]):
+        menus = [sorted(protocol[ag][q]) for ag in agents]
+        for joint, t in zip(itertools.product(*menus), row):
+            transition[(q, joint)] = states[t]
+    return model, transition
 
 
 @pytest.mark.parametrize("gen, params", [(modelio.gen_cardgame, ()),

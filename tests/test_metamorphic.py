@@ -14,7 +14,9 @@ import random
 import pytest
 
 from atlir.checker import check
+from atlir.formula import parse, to_text
 from atlir.icgs import Icgs, validate
+from atlir.modelio import dumps, gen_cardgame, gen_castles, loads
 from atlir.oracle import count_uniform, oracle_eval, perfect_info_eval
 
 from corpus import random_formula, random_model
@@ -124,3 +126,42 @@ def test_satisfying_set_is_invariant(transform, evaluator, cases):
             expected = evaluate(model, f).ids()
             got = evaluate(other, f).ids() & set(model.states)
             assert got == expected, (evaluator, f)
+
+
+def permuted_agents(rng, model):
+    """The model with its agents listed in another order, each joint action
+    tuple permuted to match."""
+    order = list(range(len(model.agents)))
+    while order == sorted(order):
+        rng.shuffle(order)
+    parts = _parts(model)
+    parts["agents"] = [model.agents[j] for j in order]
+    parts["transition"] = {(q, tuple(joint[j] for j in order)): target
+                           for (q, joint), target in model.transition.items()}
+    return _build(parts)
+
+
+def test_agent_order_is_invisible(cases):
+    """Documents list agents sorted, so a model whose agents come in another
+    order writes the same text and loads back as the sorted one; the checker
+    gives the same satisfying sets.  Castles are checked on the initial
+    states only: on all states the search takes minutes."""
+    castles = gen_castles(1, 1, 1)
+    subjects = [(gen_cardgame(), ["<<player>> F win", "<<dealer,player>> F win"],
+                 None),
+                (castles, ["<<c1w1,c2w1>> F castle3_defeated",
+                           "<<c1w1,c2w1>> F all_defeated"], castles.initial)]
+    subjects += [(model, [to_text(f) for f in formulas], None)
+                 for model, formulas in cases if len(model.agents) > 1][:10]
+    assert len(subjects) == 12
+    rng = random.Random(SEED + 2)
+    for model, formulas, query in subjects:
+        assert list(model.agents) == sorted(model.agents)
+        other = permuted_agents(rng, model)
+        text = dumps(other)
+        assert text == dumps(model)
+        assert loads(text) == model
+        for f in formulas:
+            sats = [check(m, parse(f, m), query=m.state_set(query or m.states))
+                    .sat.ids() for m in (model, other)]
+            assert sats[0] == sats[1], f

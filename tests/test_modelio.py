@@ -5,14 +5,27 @@ import json
 import random
 import signal
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from atlir.errors import AtlirError, CapExceeded, DocumentError, ModelError
-from atlir.icgs import Icgs, gamma_closure, step, validate
+from atlir.icgs import (
+    NONDETERMINISTIC_TRANSITION,
+    Icgs,
+    ValidationIssue,
+    gamma_closure,
+    step,
+    validate,
+)
 from atlir.modelio import (
+    _REQUIRED_KEYS,
+    _object,
+    _string,
+    _string_list,
     castle_workers,
     dumps,
+    from_document,
     gen_cardgame,
     gen_castles,
     load,
@@ -21,6 +34,8 @@ from atlir.modelio import (
     save,
     to_document,
 )
+
+from corpus import make_model, random_model
 
 
 # -- documents -------------------------------------------------------------------
@@ -52,6 +67,78 @@ def test_dumps_joins_the_indented_text_in_slices(castles111):
         tracemalloc.stop()
     assert sliced == whole
     assert sliced_peak * 2 < whole_peak
+
+
+def _indented(model):
+    return json.dumps(to_document(model), indent=2, sort_keys=True) + "\n"
+
+
+def _writer_cases():
+    rng = random.Random(11)
+    corpus = [random_model(rng) for _ in range(30)]
+    # agents and states out of sorted order, so each state's entries are
+    # read from the row in another order than the product of its protocols
+    unsorted = make_model(
+        ["zed", "amy", "kim"], ["t", "s", "u"],
+        {"zed": {q: ["b", "a"] for q in "tsu"},
+         "amy": {q: ["y", "x", "z"] for q in "tsu"},
+         "kim": {"t": ["m", "n"], "s": ["n"], "u": ["m", "n"]}},
+        {(q, joint): "tsu"[sum(map(ord, "".join(joint))) % 3] for q in "tsu"
+         for joint in itertools.product(*(sorted(acts) for acts in (
+             "ab", "xyz", "n" if q == "s" else "mn")))},
+        {ag: {q: q for q in "tsu"} for ag in ("zed", "amy", "kim")})
+    odd = ['a"q', "b\\s", "\u00e9t\u00e9", "tab\there", "\u2603"]
+    escaped = make_model(
+        odd[:2], odd[2:],
+        {odd[0]: {q: ['"go"', "\u00fc"] for q in odd[2:]},
+         odd[1]: {q: ["\\", "x"] for q in odd[2:]}},
+        {(q, (a, b)): odd[2 + (len(q) + len(a) + len(b)) % 3]
+         for q in odd[2:] for a in ('"go"', "\u00fc") for b in ("\\", "x")},
+        {ag: {q: "o" + q for q in odd[2:]} for ag in odd[:2]},
+        labels={odd[3]: ["p"]})
+    base = make_model(["g"], ["u", "v"], {"g": {"u": ["a", "b"], "v": ["a"]}},
+                      {("u", ("a",)): "v", ("u", ("b",)): "u", ("v", ("a",)): "u"},
+                      {"g": {"u": "u", "v": "v"}})
+    missing = make_model(base.agents, base.states, base.protocol,
+                         {("u", ("a",)): "v", ("v", ("a",)): "u"}, base.observation)
+    undeclared = make_model(base.agents, base.states, base.protocol,
+                            {**base.transition, ("u", ("b",)): "x"},
+                            base.observation)
+    no_row = make_model(base.agents, base.states, {"g": {"u": ["a", "b"], "v": []}},
+                        {("u", ("a",)): "v", ("u", ("b",)): "u"}, base.observation)
+    named = [("unsorted", unsorted), ("escaped", escaped), ("missing", missing),
+             ("undeclared", undeclared), ("no_row", no_row)]
+    return [pytest.param(m, id="corpus%d" % i) for i, m in enumerate(corpus)] + [
+        pytest.param(m, id=name) for name, m in named]
+
+
+@pytest.mark.parametrize("model", _writer_cases())
+def test_dumps_is_the_indented_json_of_the_document(model):
+    assert dumps(model) == _indented(model)
+
+
+def test_writer_cases_cover_what_they_are_named_for():
+    cases = {p.id: p.values[0] for p in _writer_cases()}
+    unsorted, escaped = cases["unsorted"], cases["escaped"]
+    assert list(unsorted.agents) != sorted(unsorted.agents)
+    assert list(unsorted.states) != sorted(unsorted.states)
+    assert all(json.dumps(name) != '"%s"' % name for name in escaped.agents)
+    assert [i.kind for i in validate(cases["missing"])] == ["MissingTransition"]
+    assert -2 in cases["undeclared"].rows[0]
+    assert cases["no_row"].rows[1] is None
+
+
+def test_save_writes_the_text_as_it_is_produced(castles112, tmp_path):
+    path = tmp_path / "castles112.json"
+    tracemalloc.start()
+    try:
+        save(castles112, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = path.read_text(encoding="utf-8")
+    assert text == dumps(castles112)
+    assert peak < len(text)
 
 
 def test_dumps_is_canonical(cardgame):
@@ -362,6 +449,116 @@ def test_loader_raises_only_atlir_errors_on_mutated_documents(cardgame):
             loads(json.dumps(doc))
         except AtlirError:
             pass
+
+
+def ref_from_document(doc):
+    """The loader that built the transition mapping with one helper call per
+    check, the reference for the inline checks of ``from_document``."""
+    if not isinstance(doc, dict):
+        raise DocumentError("document root must be an object")
+    for key in _REQUIRED_KEYS:
+        if key not in doc:
+            raise DocumentError("missing top-level key %r" % key)
+
+    agents = _string_list(doc["agents"], "agents")
+    states = _string_list(doc["states"], "states")
+    declared = set(states)
+    if len(declared) != len(states):
+        raise DocumentError("duplicate state identifier in 'states'")
+    if len(set(agents)) != len(agents):
+        raise DocumentError("duplicate agent identifier in 'agents'")
+    initial = _string_list(doc["initial"], "initial")
+    actions = {ag: _string_list(acts, "actions[%r]" % ag)
+               for ag, acts in _object(doc["actions"], "actions").items()}
+    labels = {q: _string_list(props, "labels[%r]" % q)
+              for q, props in _object(doc["labels"], "labels").items()}
+    for q in labels:
+        if q not in declared:
+            raise DocumentError("labels mention unknown state %r" % q)
+    obs = {}
+    for ag, per_state in _object(doc["obs"], "obs").items():
+        obs[ag] = {q: _string(tok, "obs[%r][%r]" % (ag, q))
+                   for q, tok in _object(per_state, "obs[%r]" % ag).items()}
+    protocol = {}
+    for ag, per_state in _object(doc["protocol"], "protocol").items():
+        protocol[ag] = {q: _string_list(acts, "protocol[%r][%r]" % (ag, q))
+                        for q, acts in _object(per_state, "protocol[%r]" % ag).items()}
+
+    if not isinstance(doc["transitions"], list):
+        raise DocumentError("'transitions' must be a list of triples")
+    transition = {}
+    issues = []
+    for k, entry in enumerate(doc["transitions"]):
+        where = "transitions[%d]" % k
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise DocumentError("expected a [from, {agent: action}, to] triple", where)
+        source, joint_map, target = entry
+        source = _string(source, where + ".from")
+        target = _string(target, where + ".to")
+        joint_map = _object(joint_map, where + ".action")
+        extra = set(joint_map) - set(agents)
+        missing = set(agents) - set(joint_map)
+        if extra:
+            raise DocumentError("action for unknown agent %r" % sorted(extra)[0], where)
+        if missing:
+            raise DocumentError("no action for agent %r" % sorted(missing)[0], where)
+        joint = tuple(_string(joint_map[ag], where) for ag in agents)
+        prev = transition.get((source, joint))
+        if prev is not None and prev != target:
+            issues.append(ValidationIssue(
+                NONDETERMINISTIC_TRANSITION,
+                "two transitions from %r under %r lead to %r and %r"
+                % (source, joint, prev, target)))
+        transition[(source, joint)] = target
+
+    model = Icgs(agents, states, initial, actions, protocol, transition, obs,
+                 labels, extra_issues=issues)
+    return model.require_valid()
+
+
+def _load_outcome(load, doc):
+    """The model ``load`` returns, or what its error says."""
+    try:
+        return load(doc)
+    except Exception as exc:
+        return (type(exc), str(exc), getattr(exc, "issues", None),
+                getattr(exc, "where", None))
+
+
+def test_loader_agrees_with_the_reference_loader(cardgame, castles111):
+    text = dumps(cardgame)
+    rng = random.Random(7)
+    texts = []
+    for _ in range(2000):
+        doc = json.loads(text)
+        _mutate(rng, doc)
+        texts.append(json.dumps(doc))
+    # subclasses of list, dict and str pass the exact-type checks only
+    # through the error helper
+    doc = json.loads(text)
+    doc["transitions"][0] = type("Triple", (list,), {})(doc["transitions"][0])
+    doc["transitions"][1][1] = type("Joint", (dict,), {})(doc["transitions"][1][1])
+    doc["transitions"][2][1]["player"] = type("Name", (str,), {})("keep")
+    texts.append(doc)
+    # duplicates: the last target of a (state, joint) pair stays
+    doc = json.loads(text)
+    source, joint, target = doc["transitions"][0]
+    for other in ("ghost", "start", target, "ghost"):
+        doc["transitions"].append([source, dict(joint), other])
+    texts.append(doc)
+    texts.append(dumps(castles111))
+    outcomes = Counter()
+    for case in texts:
+        if isinstance(case, str):
+            got = _load_outcome(loads, case)
+            expected = _load_outcome(ref_from_document, json.loads(case))
+        else:
+            got = _load_outcome(from_document, case)
+            expected = _load_outcome(ref_from_document, case)
+        assert got == expected
+        outcomes[got[0] if isinstance(got, tuple) else Icgs] += 1
+    # every outcome is hit: models, document errors and model errors
+    assert set(outcomes) == {Icgs, DocumentError, ModelError}
 
 
 def test_castles_caps():
