@@ -13,9 +13,11 @@ into maximal conflict-free subsets; a state is satisfied when one subset
 covers everything the coalition confuses with it.  For coalition-until, each
 maximal conflict-free seed over the target states is grown backwards: at
 every step the moves that surely re-enter the current fragment and do not
-clash with it (each frame carries the clash of its fragment) are split into
-conflict-free extensions, and the search backtracks over the alternatives
-while excluding moves it already set aside.
+clash with it are split into conflict-free extensions, and the search
+backtracks over the alternatives while excluding moves it already set aside.
+Each search frame is one generator that yields its children; a driver loop
+keeps the generators on an explicit stack, so the depth is not bounded by
+the interpreter's recursion limit.
 Before any seed is split, a state is abandoned when some indistinguishable
 state loses even under perfect information (no general strategy reaches the
 target through ``q1``).  That filter runs once per query: in a valid model
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import PreconditionViolation, UnsupportedOperator
+from .errors import ModelError, PreconditionViolation, UnsupportedOperator
 from .formula import (
     Atom,
     CanNext,
@@ -68,7 +70,11 @@ class CheckResult:
 
 
 class EvalCache:
-    """Memo from a normalized sub-formula to its satisfying set over all states."""
+    """Memo from a normalized sub-formula to its satisfying set over all states.
+
+    A cache serves the first model it is used on; using it on another model
+    raises :class:`ModelError`.
+    """
 
     def __init__(self):
         self.model = None
@@ -135,9 +141,7 @@ def check(model: Icgs, f, cache: EvalCache = None,
         f = parse(f, model)
     nf = normalize(f)
     stats = CheckStats()
-    initial = 0
-    for q in model.initial:
-        initial |= 1 << model._state_pos[q]
+    initial = model.state_set(model.initial).mask
     qmask = model._all_mask if query is None else state_mask(model, query)
     if initial & ~qmask:
         raise PreconditionViolation("the query must contain the initial states")
@@ -202,7 +206,10 @@ def eval_ceu(model: Icgs, interest: StateSet, strategy: MoveSet,
 def _walk(model, cache, stats):
     if cache is None:
         cache = EvalCache()
-    cache.model = model
+    if cache.model is None:
+        cache.model = model
+    elif cache.model is not model:
+        raise ModelError("the evaluation cache serves a different model")
     return Walk(model, partial(_search, stats), cache.masks)
 
 
@@ -251,43 +258,24 @@ def _search(stats, walk, f, qmask):
     return sat & qmask
 
 
-class _Frame:
-    """One fragment of the search, with what was derived from it.
-
-    ``cov`` is the fragment's coverage.  Until the frame is first visited,
-    ``known`` and ``good`` hold its parent's coverage and ``pre_move`` answer
-    (zero for a root); the child's coverage only grows, so they seed its
-    incremental call.  Likewise ``blocked``, the moves that conflict with the
-    fragment, starts as the parent's and takes in the clash of ``added``, the
-    moves the frame adds, only once it has candidate moves to filter.
-    """
-
-    __slots__ = ("interest", "strategy", "exclude", "cov", "added", "known",
-                 "good", "blocked", "iterator", "new_moves")
-
-    def __init__(self, interest, strategy, exclude, cov, added, parent=None):
-        self.interest = interest
-        self.strategy = strategy
-        self.exclude = exclude
-        self.cov = cov
-        self.added = added
-        if parent is None:
-            self.known = self.good = self.blocked = 0
-        else:
-            self.known = parent.cov
-            self.good = parent.good
-            self.blocked = parent.blocked
-        self.iterator = None
-        self.new_moves = 0
-
-
 def _ceu_search(idx, interest, strategy, moves_q1, exclude, stats):
     """Backtracking growth of one conflict-free strategy fragment.
 
-    Implements the recursive search with an explicit stack: the recursion
-    depth is bounded by the number of coalition moves, which can exceed the
-    interpreter's limit.  ``won`` accumulates across the whole tree; every
-    resumed frame drops the states its descendants already won.
+    Each search frame is one generator, ``grow``.  Its locals are the
+    fragment ``strategy``, the moves set aside ``exclude``, the fragment's
+    coverage ``cov``, the moves the frame adds ``added``, the ``pre_move``
+    answer ``good`` and ``blocked``, the moves that conflict with the
+    fragment.  A frame's body runs only once the driver first advances it.
+    It seeds an incremental ``pre_move`` with its parent's coverage
+    (``known``) and answer, and adds the clash of ``added`` to its parent's
+    ``blocked`` only when it has candidate moves to filter.  It yields one
+    child frame per non-empty conflict-free extension and returns once every
+    state of interest is won.
+
+    The driver keeps the frames on an explicit stack, not the interpreter's:
+    the depth is bounded by the number of coalition moves, which can exceed
+    the recursion limit.  ``won`` accumulates across the whole tree, and a
+    frame stops as soon as its descendants have won every state of interest.
     ``moves_q1`` is ``idx.moves_of(q1)``.
 
     The caller has already dropped the states that lose under perfect
@@ -299,45 +287,37 @@ def _ceu_search(idx, interest, strategy, moves_q1, exclude, stats):
     ``N = filter_ceu(q1, cov)``, and then ``filter_ceu(q1, X) == N``.
     """
     won = 0
-    stack = [_Frame(interest, strategy, exclude, idx.cover(strategy),
-                    strategy)]
+
+    def grow(strategy, exclude, cov, added, known, good, blocked):
+        nonlocal won
+        # Won: the whole class is covered by the fragment.
+        won |= idx.closed_within(interest & ~won, cov)
+        if interest & ~won == 0:
+            return
+        good = idx.pre_move(cov, known, good)
+        new_moves = good & moves_q1 & ~strategy & ~exclude
+        if new_moves:
+            blocked |= idx.clash(added)
+        comp = new_moves & ~blocked
+        if comp == 0:
+            return
+        stats.split_calls += 1
+        for sub in idx.split_all(comp, False):
+            if sub == 0:  # only the non-empty subsets extend the fragment
+                continue
+            stats.strategies_explored += 1
+            yield grow(strategy | sub, exclude | (new_moves & ~sub),
+                       cov | idx.cover(sub), sub, cov, good, blocked)
+            if interest & ~won == 0:
+                return
+
+    stack = [grow(strategy, exclude, idx.cover(strategy), strategy, 0, 0, 0)]
     while stack:
         if len(stack) > stats.max_depth:
             stats.max_depth = len(stack)
-        fr = stack[-1]
-        if fr.iterator is None:
-            # Won: the whole class is covered by the fragment.
-            cov = fr.cov
-            win_local = idx.closed_within(fr.interest, cov)
-            won |= win_local
-            fr.interest &= ~win_local
-            if fr.interest == 0:
-                stack.pop()
-                continue
-            fr.good = idx.pre_move(cov, fr.known, fr.good)
-            new_moves = fr.good & moves_q1 & ~fr.strategy & ~fr.exclude
-            if new_moves:
-                fr.blocked |= idx.clash(fr.added)
-            comp = new_moves & ~fr.blocked
-            if comp == 0:
-                stack.pop()
-                continue
-            fr.new_moves = new_moves
-            stats.split_calls += 1
-            fr.iterator = idx.split_all(comp, False)
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
         else:
-            fr.interest &= ~won
-            if fr.interest == 0:
-                stack.pop()
-                continue
-            sub = next(fr.iterator, None)
-            while sub == 0:  # only the non-empty subsets extend the fragment
-                sub = next(fr.iterator, None)
-            if sub is None:
-                stack.pop()
-                continue
-            stats.strategies_explored += 1
-            stack.append(_Frame(fr.interest, fr.strategy | sub,
-                                fr.exclude | (fr.new_moves & ~sub),
-                                fr.cov | idx.cover(sub), sub, fr))
+            stack.append(child)
     return won

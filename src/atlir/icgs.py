@@ -349,7 +349,7 @@ class StateSet:
         return (self.model.states[i] for i in bits(self.mask))
 
     def __len__(self):
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def __bool__(self):
         return self.mask != 0
@@ -455,7 +455,7 @@ class MoveSet:
         return iter(self.moves())
 
     def __len__(self):
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def __bool__(self):
         return self.mask != 0

@@ -443,9 +443,7 @@ def gen_castles(n1: int, n2: int, n3: int) -> Icgs:
 def model_depth(model: Icgs) -> int:
     """Steps needed to reach every reachable state from the initial ones."""
     idx = model.index(())
-    seen = 0
-    for q in model.initial:
-        seen |= 1 << model._state_pos[q]
+    seen = model.state_set(model.initial).mask
     depth = 0
     frontier = seen
     while True:

@@ -1,11 +1,12 @@
 """Backward evaluation: Boolean cases, strategic cases, search invariants."""
 
 import random
+import sys
 
 import pytest
 
 from atlir.checker import EvalCache, check, eval_ceu, evaluate
-from atlir.errors import PreconditionViolation, UnsupportedOperator
+from atlir.errors import ModelError, PreconditionViolation, UnsupportedOperator
 from atlir.formula import (
     TRUE,
     Atom,
@@ -22,7 +23,7 @@ from atlir.modelio import gen_castles
 from atlir.moveops import filter_ceu, pre_ce, split_max
 from atlir.oracle import oracle_eval
 
-from corpus import random_formula, random_model
+from corpus import make_model, random_formula, random_model
 
 
 # -- Boolean cases ------------------------------------------------------------
@@ -306,6 +307,35 @@ def test_eval_cache_entries_match_fresh_evaluation(cardgame):
     cached = cache.get(normalize(parse("<<player>> F win", cardgame)))
     assert cached == evaluate(cardgame, cardgame.all_states(),
                               normalize(parse("<<player>> F win", cardgame)))
+
+
+def test_eval_cache_serves_one_model():
+    rng = random.Random(3)
+    m1, m2 = [random_model(rng) for _ in range(4)][2:]
+    cache = EvalCache()
+    first = check(m1, "!q", cache=cache)
+    assert first.sat == check(m1, "!q").sat
+    # m1's memo would answer {s3}; a fresh check of m2 gives {s0, s1}
+    assert [q for q in check(m2, "!q").sat] == ["s0", "s1"]
+    with pytest.raises(ModelError):
+        check(m2, "!q", cache=cache)
+    with pytest.raises(ModelError):
+        evaluate(m2, m2.all_states(), normalize(parse("!q", m2)), cache)
+    assert check(m1, "!q", cache=cache).sat == first.sat
+
+
+def test_search_goes_deeper_than_the_recursion_limit():
+    # One agent walks a chain to a p-labelled sink: the only strategy adds
+    # one move per chain state, one frame deeper each time.
+    n = sys.getrecursionlimit() + 200
+    states = ["c%d" % i for i in range(n)] + ["sink"]
+    model = make_model(
+        ["a"], states, {"a": {q: ["go"] for q in states}},
+        {(q, ("go",)): states[min(i + 1, n)] for i, q in enumerate(states)},
+        {"a": {q: q for q in states}}, {"sink": ["p"]})
+    result = check(model, "<<a>> F p", query=model.state_set(model.initial))
+    assert result.holds
+    assert result.stats.max_depth == n + 1
 
 
 def test_check_reports_holds_and_stats():
