@@ -6,31 +6,40 @@ canonical order (state-major, then lexicographic on the coalition action
 tuple), so ascending bit order *is* canonical iteration order and the moves
 of one state form a contiguous id range.
 
-The tables are built from the model's successor rows, ``Icgs.rows``.  They
-are the model's only store of its transitions (``Icgs.transition`` builds a
-new dict from them on every access) and list each state's joint actions in
-``itertools.product`` order over the agents' protocols.  The position of a
-joint action in its row fixes each agent's pick as one digit, so its move id
-is the state's first move id plus the coalition's digits read as a
-mixed-radix number over the coalition's protocol sizes.  The ids of a whole
-row come from ``map(sum, product(...))``, with no lookup or projection per
-joint action.
+The tables are built from the model's successor rows, ``Icgs.rows``, the
+model's only store of its transitions.  A row lists its state's joint
+actions in ``itertools.product`` order over the agents' protocols.  The
+position of a joint action in its row fixes each agent's pick as one digit,
+so its move id is the state's first move id plus the coalition's digits read
+as a mixed-radix number over the coalition's protocol sizes.  The ids of a
+whole row come from ``map(sum, product(...))``, with no lookup or projection
+per joint action.
 
 The predecessor operators run backwards over a reverse index, the moves that
 can reach each state, so a caller whose target only grows pays for the
 states it adds instead of a sweep over every move.
 
-Conflicts are masks as well: ``clash(mask)`` is the set of moves that
-conflict with some move of the mask, and compatibility, conflict and the
-maximality of a split are each one mask expression over it.  It distributes
-over union, so a search can carry the clash of its fragment down its stack.
+Conflicts are masks as well.  Every coalition agent gives each move one
+integer key: the (observation class, action) pair that the move assigns the
+agent.  Classes are ranked by first appearance over the states, so tokens
+are never compared and the token ``None`` of an unobserved state is a class
+like any other.  Keys run class by class and by sorted action within a
+class, so the keys of one class form one range.  Per agent the index keeps
+the key of each move and, per key, its moves, its class's moves and its
+class's key range.  ``clash(mask)``, the moves that conflict with some move
+of the mask, is the union over the keys the mask uses of their class's moves
+with another key; compatibility, conflict and the maximality of a split are
+each one mask expression over it.  It distributes over union, so a search
+can carry the clash of its fragment down its stack.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from array import array
 
+from .errors import DisabledJointAction
 from .icgs import bits
 
 
@@ -50,27 +59,23 @@ class CoalitionIndex:
         # the reverse index: per state, the moves with that state among their
         # successors, each listed once; and the plain post relation.
         protocol = model.protocol
-        coalition_protocols = [protocol[ag] for ag in gamma]
+        coalition_protocols = [protocol.get(ag, {}) for ag in gamma]
         # last agent first: its protocol, and whether it is in the coalition
-        radix = [(protocol[ag], ag in gamma) for ag in reversed(model.agents)]
+        radix = [(protocol.get(ag, {}), ag in gamma) for ag in reversed(model.agents)]
         rows = model.rows
-        move_state = []
-        move_action = []
+        move_state, move_action = [], []
         moves_at = []  # per state: the range of its move ids
-        lookup = {}
-        succ = []
-        pred = [array("i") for _ in range(n)]
-        post = [0] * n
+        succ = self.succ_mask = []
+        pred = self.pred_moves = [array("i") for _ in range(n)]
+        post = self.post_mask = [0] * n
         for i, q in enumerate(model.states):
             first = len(move_state)
             combos = list(itertools.product(
                 *[per_state.get(q, ()) for per_state in coalition_protocols]))
-            stop = first + len(combos)
-            lookup.update(zip(zip(itertools.repeat(i), combos), range(first, stop)))
-            move_state.extend(itertools.repeat(i, len(combos)))
+            move_state += [i] * len(combos)
             move_action.extend(combos)
-            moves_at.append(range(first, stop))
-            succ.extend(itertools.repeat(0, len(combos)))
+            moves_at.append(range(first, first + len(combos)))
+            succ += [0] * len(combos)
             row = rows[i]
             if row is None:
                 continue
@@ -101,13 +106,9 @@ class CoalitionIndex:
         self.move_state = move_state
         self.move_action = move_action
         self.moves_at = moves_at
-        self._lookup = lookup
         n_moves = len(move_state)
         self.all_moves_mask = (1 << n_moves) - 1
         self._move_bytes = (n_moves + 7) // 8
-        self.succ_mask = succ
-        self.pred_moves = pred
-        self.post_mask = post
         # A move without successors surely enters every target, the empty
         # one included.
         self.stuck_moves = self.stuck_states = 0
@@ -116,50 +117,59 @@ class CoalitionIndex:
                 self.stuck_moves |= 1 << m
                 self.stuck_states |= 1 << move_state[m]
 
-        # Observation machinery per coalition agent.
-        self.tok = []           # per agent: token per state position
-        self.class_states = []  # per agent: token -> state mask
-        self.move_tok = []      # per agent: token per move id
-        self.class_moves = []   # per agent: token -> move mask
-        self.class_action_moves = []  # per agent: (token, action) -> move mask
-        for a, ag in enumerate(gamma):
-            obs = model.observation.get(ag, {})
-            tok = [obs.get(q) for q in model.states]
-            cstates = {}
-            for i in range(n):
-                cstates[tok[i]] = cstates.get(tok[i], 0) | (1 << i)
-            mtok = [tok[si] for si in move_state]
-            cmoves = {}
-            camoves = {}
-            for m, si in enumerate(move_state):
-                t = tok[si]
-                cmoves[t] = cmoves.get(t, 0) | (1 << m)
-                key = (t, move_action[m][a])
-                camoves[key] = camoves.get(key, 0) | (1 << m)
-            self.tok.append(tok)
-            self.class_states.append(cstates)
-            self.move_tok.append(mtok)
-            self.class_moves.append(cmoves)
-            self.class_action_moves.append(camoves)
-
-        # Per-state closure mask: union over coalition agents of the state's
-        # observation class.  Empty coalition: empty closure.
+        # Conflict keys (see above).  Per agent: the key of each move, an
+        # array; per key: its moves, its class's moves and its class's key
+        # range.  The closure of a state is the union of its classes, empty
+        # for the empty coalition.
+        self.move_key, self.key_moves, self.class_mask, self.key_range = [], [], [], []
         closure = [0] * n
-        for a in range(len(gamma)):
-            cstates = self.class_states[a]
-            tok = self.tok[a]
-            for i in range(n):
-                closure[i] |= cstates[tok[i]]
+        for a, (ag, acts) in enumerate(zip(gamma, coalition_protocols)):
+            obs = model.observation.get(ag, {})
+            rank = {}
+            state_class = [rank.setdefault(obs.get(q), len(rank)) for q in model.states]
+            members = [0] * len(rank)  # per class: its states
+            class_keys = [{} for _ in rank]  # per class: action -> key
+            for i, c in enumerate(state_class):
+                members[c] |= 1 << i
+                if moves_at[i]:
+                    class_keys[c].update(dict.fromkeys(acts[model.states[i]]))
+            closure = [mask | members[c] for mask, c in zip(closure, state_class)]
+            key_range = []
+            for keys in class_keys:
+                span = range(len(key_range), len(key_range) + len(keys))
+                keys.update(zip(sorted(keys), span))
+                key_range += [span] * len(span)
+            move_key = array("i", [class_keys[state_class[si]][act[a]]
+                                   for si, act in zip(move_state, move_action)])
+            if len(move_key) <= 4096:  # narrow masks: one OR per move
+                key_moves = [0] * len(key_range)
+                for m, k in enumerate(move_key):
+                    key_moves[k] |= 1 << m
+            else:  # OR-ing bit by bit would copy a wide mask per move
+                ids = [array("i") for _ in key_range]
+                for m, k in enumerate(move_key):
+                    ids[k].append(m)
+                key_moves = list(map(self._mask, ids))
+            class_mask = []
+            for keys in class_keys:  # a class's keys have disjoint moves
+                class_mask += [sum(map(key_moves.__getitem__, keys.values()))] * len(keys)
+            self.move_key.append(move_key)
+            self.key_moves.append(key_moves)
+            self.class_mask.append(class_mask)
+            self.key_range.append(key_range)
         self.closure_of = closure
 
     # -- state-level operators ----------------------------------------------
+
+    @functools.cached_property
+    def _lookup(self):  # (state position, coalition action) -> move id
+        return dict(zip(zip(self.move_state, self.move_action), itertools.count()))
 
     def move_id(self, state, picks):
         i = self.model.state_position(state)
         try:
             return self._lookup[(i, tuple(picks))]
         except KeyError:
-            from .errors import DisabledJointAction
             raise DisabledJointAction(
                 "coalition action %r is not enabled in state %r"
                 % (tuple(picks), state)) from None
@@ -277,20 +287,15 @@ class CoalitionIndex:
 
         A move conflicts with a move of the mask when some agent observes
         both states alike but is asked to act differently: the union, over
-        each (agent, token, action) the mask assigns, of the class's moves
-        with another action.  ``clash(a | b) == clash(a) | clash(b)``.
+        each key the mask uses, of its class's moves with another key.
+        ``clash(a | b) == clash(a) | clash(b)``.
         """
         out = 0
-        seen = set()
-        for m in bits(movemask):
-            act = self.move_action[m]
-            for a, toks in enumerate(self.move_tok):
-                key = (a, toks[m], act[a])
-                if key not in seen:
-                    seen.add(key)
-                    # the class's moves without those of the action (a subset)
-                    out |= (self.class_moves[a][key[1]]
-                            ^ self.class_action_moves[a][key[1:]])
+        moves = list(bits(movemask))
+        for move_key, class_mask, key_moves in zip(
+                self.move_key, self.class_mask, self.key_moves):
+            for k in set(map(move_key.__getitem__, moves)):
+                out |= class_mask[k] ^ key_moves[k]
         return out
 
     def is_conflicting(self, movemask):
@@ -306,29 +311,23 @@ class CoalitionIndex:
         """Stream the subsets of non-conflicting classes of one agent.
 
         The classes of ``movemask`` for agent ``a`` are peeled in canonical
-        order (by least move id); each contributes one option per action it
-        assigns to ``a`` (sorted), plus a drop option when not maximal.
+        order (by least move id); each contributes one option per key of the
+        class that ``movemask`` uses, in key order (the sorted actions), plus
+        a drop option when not maximal.
         """
-        if movemask == 0:
-            yield 0
-            return
+        move_key, key_moves = self.move_key[a], self.key_moves[a]
         options = []
         rem = movemask
         while rem:
-            mid = (rem & -rem).bit_length() - 1
-            t = self.move_tok[a][mid]
-            cls = self.class_moves[a][t] & movemask
-            rem &= ~cls
-            acts = sorted({self.move_action[m][a] for m in bits(cls)})
-            opts = [self.class_action_moves[a][(t, act)] & movemask for act in acts]
+            k = move_key[(rem & -rem).bit_length() - 1]
+            rem &= ~self.class_mask[a][k]
+            opts = [sub for sub in (key_moves[j] & movemask for j in self.key_range[a][k])
+                    if sub]
             if not maximal:
                 opts.append(0)
             options.append(opts)
         for combo in itertools.product(*options):
-            out = 0
-            for sub in combo:
-                out |= sub
-            yield out
+            yield sum(combo)  # the options of distinct classes are disjoint
 
     def split_all(self, movemask, maximal):
         """Stream the per-agent split fold over the whole coalition.

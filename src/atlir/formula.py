@@ -205,6 +205,15 @@ class MustWeakUntil(Formula):
 
 CORE_NODES = (TrueConst, Atom, Not, Or, CanNext, CanUntil)
 
+# strategic operator class <-> (opening brace, temporal operator letter)
+_STRATEGIC = {
+    CanNext: ("<<", "X"), CanEventually: ("<<", "F"), CanGlobally: ("<<", "G"),
+    CanUntil: ("<<", "U"), CanWeakUntil: ("<<", "W"),
+    MustNext: ("[[", "X"), MustEventually: ("[[", "F"), MustGlobally: ("[[", "G"),
+    MustUntil: ("[[", "U"), MustWeakUntil: ("[[", "W"),
+}
+_STRATEGIC_CLASS = {key: cls for cls, key in _STRATEGIC.items()}
+
 
 # ---------------------------------------------------------------------------
 # Normalisation
@@ -320,7 +329,8 @@ _PREC_IFF, _PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_UNARY, _PREC_ATOM = range(6
 
 
 def to_text(f: Formula) -> str:
-    """Emit the concrete syntax; ``parse(to_text(f)) == f`` on normalized ASTs."""
+    """Emit the concrete syntax; ``parse(to_text(f)) == f`` for every AST
+    within the parser's nesting bounds."""
     return _print(f, 0)
 
 
@@ -356,21 +366,14 @@ def _print_prec(f):
     if isinstance(f, Iff):
         return ("%s <-> %s" % (_print(f.left, _PREC_IFF),
                                _print(f.right, _PREC_IFF + 1)), _PREC_IFF)
-    unary_ops = {CanNext: ("<<%s>>", "X"), CanEventually: ("<<%s>>", "F"),
-                 CanGlobally: ("<<%s>>", "G"), MustNext: ("[[%s]]", "X"),
-                 MustEventually: ("[[%s]]", "F"), MustGlobally: ("[[%s]]", "G")}
-    binary_ops = {CanUntil: ("<<%s>>", "U"), CanWeakUntil: ("<<%s>>", "W"),
-                  MustUntil: ("[[%s]]", "U"), MustWeakUntil: ("[[%s]]", "W")}
-    if type(f) in unary_ops:
-        braces, op = unary_ops[type(f)]
-        head = braces % _coal(f.coalition)
+    if type(f) not in _STRATEGIC:
+        raise ValueError("cannot print %r" % (f,))
+    brace, op = _STRATEGIC[type(f)]
+    head = "%s%s%s" % (brace, _coal(f.coalition), ">>" if brace == "<<" else "]]")
+    if op in "XFG":
         return ("%s %s %s" % (head, op, _print(f.sub, _PREC_UNARY)), _PREC_UNARY)
-    if type(f) in binary_ops:
-        braces, op = binary_ops[type(f)]
-        head = braces % _coal(f.coalition)
-        return ("%s (%s %s %s)" % (head, _print(f.lhs, 0), op, _print(f.rhs, 0)),
-                _PREC_UNARY)
-    raise ValueError("cannot print %r" % (f,))
+    return ("%s (%s %s %s)" % (head, _print(f.lhs, 0), op, _print(f.rhs, 0)),
+            _PREC_UNARY)
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +533,8 @@ class _Parser:
         raise FormulaSyntaxError("expected a formula, found %r" % (text or "end of input"), pos)
 
     def parse_strategic(self):
-        kind, _, pos = self.next()
-        can = kind == "ldouble"
-        closing, closer = ("rdouble", "'>>'") if can else ("rbrack", "']]'")
+        _, brace, pos = self.next()
+        closing, closer = ("rdouble", "'>>'") if brace == "<<" else ("rbrack", "']]'")
         names = [self.expect("ident", "an agent name")]
         while self.peek()[0] == "comma":
             self.next()
@@ -555,14 +557,7 @@ class _Parser:
 
         kind, text, pos = self.next()
         if kind == "ident" and text in ("X", "F", "G"):
-            sub = self.parse_unary()
-            table = {
-                ("X", True): CanNext, ("F", True): CanEventually,
-                ("G", True): CanGlobally,
-                ("X", False): MustNext, ("F", False): MustEventually,
-                ("G", False): MustGlobally,
-            }
-            return table[(text, can)](coalition, sub)
+            return _STRATEGIC_CLASS[brace, text](coalition, self.parse_unary())
         if kind == "lparen":
             lhs = self.parse_iff()
             optok = self.next()
@@ -571,11 +566,7 @@ class _Parser:
                     "expected 'U' or 'W', found %r" % optok[1], optok[2])
             rhs = self.parse_iff()
             self.expect("rparen", "')'")
-            table = {
-                ("U", True): CanUntil, ("W", True): CanWeakUntil,
-                ("U", False): MustUntil, ("W", False): MustWeakUntil,
-            }
-            return table[(optok[1], can)](coalition, lhs, rhs)
+            return _STRATEGIC_CLASS[brace, optok[1]](coalition, lhs, rhs)
         raise FormulaSyntaxError(
             "expected a temporal operator after the coalition, found %r" % text, pos)
 

@@ -593,10 +593,11 @@ def validate(model: Icgs):
 
 
 def enabled_group(model: Icgs, coalition, state) -> frozenset:
-    """The coalition actions enabled in ``state``: the product of protocols."""
+    """The coalition actions enabled in ``state``: the product of protocols,
+    empty where some member has no enabled action."""
     gamma = model.coalition(coalition)
     model.state_position(state)
-    picks = [model.protocol[ag][state] for ag in gamma]
+    picks = [model.protocol.get(ag, {}).get(state, ()) for ag in gamma]
     return frozenset(GroupAction(gamma, combo)
                      for combo in itertools.product(*picks))
 
@@ -654,7 +655,7 @@ def step(model: Icgs, state, joint) -> str:
                 % (len(joint), len(model.agents)))
     slot = 0  # the joint action's position in the state's row
     for ag, a in zip(model.agents, joint):
-        acts = model.protocol[ag].get(state, ())
+        acts = model.protocol.get(ag, {}).get(state, ())
         if a not in acts:
             raise DisabledJointAction(
                 "action %r of agent %r is not enabled in state %r" % (a, ag, state))

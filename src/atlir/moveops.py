@@ -36,7 +36,7 @@ def conflicting(model: Icgs, m1: Move, m2: Move) -> bool:
     model.state_position(m1.state)
     model.state_position(m2.state)
     for ag, a1, a2 in zip(m1.coalition, m1.action.picks, m2.action.picks):
-        obs = model.observation[ag]
+        obs = model.observation.get(ag, {})
         if obs.get(m1.state) == obs.get(m2.state) and a1 != a2:
             return True
     return False

@@ -189,6 +189,45 @@ def test_round_trip_on_normalized_random_formulas():
         assert parse(to_text(nf), model) == nf
 
 
+STRATEGIC_UNARY = (CanNext, CanEventually, CanGlobally,
+                   MustNext, MustEventually, MustGlobally)
+STRATEGIC_BINARY = (CanUntil, CanWeakUntil, MustUntil, MustWeakUntil)
+
+
+def random_syntax_tree(rng, model, depth):
+    """A random formula over every operator of the concrete syntax."""
+    if depth == 0 or rng.random() < 0.2:
+        return TRUE if rng.random() < 0.2 else Atom(rng.choice(sorted(model.atoms)))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Not(random_syntax_tree(rng, model, depth - 1))
+    if kind == 1:
+        cls = rng.choice((And, Or, Implies, Iff))
+        return cls(random_syntax_tree(rng, model, depth - 1),
+                   random_syntax_tree(rng, model, depth - 1))
+    coalition = model.coalition(rng.sample(model.agents, rng.randint(1, len(model.agents))))
+    if kind == 2:
+        return rng.choice(STRATEGIC_UNARY)(coalition, random_syntax_tree(rng, model, depth - 1))
+    return rng.choice(STRATEGIC_BINARY)(coalition, random_syntax_tree(rng, model, depth - 1),
+                                        random_syntax_tree(rng, model, depth - 1))
+
+
+def test_round_trip_over_every_operator():
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(400):
+        model = random_model(rng)
+        f = random_syntax_tree(rng, model, depth=4)
+        assert parse(to_text(f), model) == f, to_text(f)
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            seen.add(type(g))
+            stack.extend(getattr(g, name) for name in ("sub", "left", "right", "lhs", "rhs")
+                         if hasattr(g, name))
+    assert seen >= {And, Implies, Iff, *STRATEGIC_UNARY, *STRATEGIC_BINARY}
+
+
 def test_print_preserves_associativity_shape(cardgame):
     w = Atom("win")
     left = Or(Or(w, w), w)

@@ -215,6 +215,17 @@ def test_step_on_a_missing_transition_is_disabled():
         step(model, "u", {"g": "b"})
 
 
+def test_step_without_a_protocol_map_is_disabled():
+    # h has no protocol map at all: no joint action is enabled
+    model = make_model(["g", "h"], ["u"], {"g": {"u": ["a"]}}, {},
+                       {"g": {"u": "o"}}, actions={"g": ["a"], "h": ["c"]})
+    with pytest.raises(DisabledJointAction):
+        step(model, "u", ("a", "c"))
+    with pytest.raises(DisabledJointAction):
+        step(model, "u", {"g": "a", "h": "c"})
+    assert model.index(("g",)).stuck_moves == 1
+
+
 def generated(monkeypatch, gen, *params):
     """A generated model, and the transition dict the generator passed: its
     mapping, or its rows read through the product of its sorted protocols."""
@@ -276,6 +287,17 @@ def test_worker_cannot_defend_twice_in_a_row(castles111):
     acts = {ga.picks[0] for ga in enabled_group(castles111, ["c1w1"], state)}
     assert "defend" not in acts
     assert {"attack2", "attack3", "noop"} == acts
+
+
+def test_enabled_group_is_empty_where_a_member_has_no_action():
+    # h has no enabled action in v: the product of protocols is empty
+    model = make_model(["g", "h"], ["u", "v"],
+                       {"g": {"u": ["a"], "v": ["a"]}, "h": {"u": ["c"]}},
+                       {("u", ("a", "c")): "v"},
+                       {"g": {"u": "o", "v": "o"}, "h": {"u": "u", "v": "v"}})
+    assert enabled_group(model, ["h"], "v") == frozenset()
+    assert enabled_group(model, ["g", "h"], "v") == frozenset()
+    assert enabled_group(model, ["g"], "v") == {GroupAction(("g",), ("a",))}
 
 
 def test_enabled_group_unknown_inputs(cardgame):

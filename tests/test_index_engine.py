@@ -54,11 +54,18 @@ def ref_filter_ceu(idx, q1, q2):
         z = nz
 
 
+def ref_token(idx, a, m):
+    """The observation token of move ``m``'s state for coalition agent ``a``,
+    read from the model."""
+    model = idx.model
+    return model.observation.get(idx.gamma[a], {}).get(model.states[idx.move_state[m]])
+
+
 def ref_is_conflicting(idx, movemask):
     for a in range(len(idx.gamma)):
         seen = {}
         for m in bits(movemask):
-            t = idx.move_tok[a][m]
+            t = ref_token(idx, a, m)
             act = idx.move_action[m][a]
             prev = seen.get(t)
             if prev is None:
@@ -73,12 +80,12 @@ def ref_compatible(idx, candidates, base):
     assigned = [dict() for _ in range(k)]
     for m in bits(base):
         for a in range(k):
-            acts = assigned[a].setdefault(idx.move_tok[a][m], set())
+            acts = assigned[a].setdefault(ref_token(idx, a, m), set())
             acts.add(idx.move_action[m][a])
     out = 0
     for m in bits(candidates):
         for a in range(k):
-            acts = assigned[a].get(idx.move_tok[a][m])
+            acts = assigned[a].get(ref_token(idx, a, m))
             if acts and (len(acts) > 1 or idx.move_action[m][a] not in acts):
                 break
         else:
@@ -91,10 +98,10 @@ def ref_is_maximal(idx, mask, movemask):
     assigned = [dict() for _ in range(k)]
     for m in bits(mask):
         for a in range(k):
-            assigned[a][idx.move_tok[a][m]] = idx.move_action[m][a]
+            assigned[a][ref_token(idx, a, m)] = idx.move_action[m][a]
     for x in bits(movemask & ~mask):
         for a in range(k):
-            act = assigned[a].get(idx.move_tok[a][x])
+            act = assigned[a].get(ref_token(idx, a, x))
             if act is not None and act != idx.move_action[x][a]:
                 break
         else:
@@ -109,24 +116,43 @@ def ref_clash(idx, movemask):
     ms = list(bits(movemask))
     out = 0
     for x in range(len(idx.move_state)):
-        if any(idx.move_tok[a][x] == idx.move_tok[a][m]
+        if any(ref_token(idx, a, x) == ref_token(idx, a, m)
                and idx.move_action[x][a] != idx.move_action[m][a]
                for m in ms for a in range(k)):
             out |= 1 << x
     return out
 
 
-def ref_split_max(idx, movemask):
-    """The per-agent maximal fold, deduplicated, with every output held to
-    ``ref_is_maximal`` (no product shortcut)."""
+def ref_split_agent(idx, a, movemask, maximal):
+    """Agent ``a``'s split of a mask: the moves grouped by the token read from
+    the model, classes peeled by least move id, one option per action the
+    class assigns (sorted), plus dropping the class when not maximal."""
+    classes = {}
+    for m in bits(movemask):  # ascending, so classes appear by least move id
+        classes.setdefault(ref_token(idx, a, m), []).append(m)
+    options = []
+    for moves in classes.values():
+        by_action = {}
+        for m in moves:
+            act = idx.move_action[m][a]
+            by_action[act] = by_action.get(act, 0) | 1 << m
+        options.append([by_action[act] for act in sorted(by_action)]
+                       + ([] if maximal else [0]))
+    return [sum(combo) for combo in itertools.product(*options)]
+
+
+def ref_split_fold(idx, movemask, maximal):
+    """The per-agent fold of ``ref_split_agent``, deduplicated in order."""
     masks = [movemask]
     for a in range(len(idx.gamma)):
-        masks = [sub for mask in masks for sub in idx.split_agent(a, mask, True)]
-    out = []
-    for mask in dict.fromkeys(masks):
-        if ref_is_maximal(idx, mask, movemask):
-            out.append(mask)
-    return out
+        masks = [sub for mask in masks for sub in ref_split_agent(idx, a, mask, maximal)]
+    return list(dict.fromkeys(masks))
+
+
+def ref_split_max(idx, movemask):
+    """The maximal fold, with every output held to ``ref_is_maximal``."""
+    return [mask for mask in ref_split_fold(idx, movemask, True)
+            if ref_is_maximal(idx, mask, movemask)]
 
 
 def ref_tables(model, gamma):
@@ -173,31 +199,32 @@ def ref_tables(model, gamma):
             "stuck_states": stuck_states}
 
 
-def ref_observation_tables(model, gamma, move_state, move_action):
-    """Per coalition agent, the token and class tables, move by move, and the
-    per-state closure."""
+def ref_key_tables(model, gamma, move_state, move_action):
+    """Per coalition agent, the conflict keys move by move: the (token,
+    action) pairs, with tokens ranked by first appearance over the states and
+    the actions of one token sorted; and the per-state closure."""
     n = len(model.states)
-    out = {"tok": [], "class_states": [], "move_tok": [], "class_moves": [],
-           "class_action_moves": []}
+    out = {"move_key": [], "key_moves": [], "class_mask": [], "key_range": []}
     closure = [0] * n
     for a, ag in enumerate(gamma):
         obs = model.observation.get(ag, {})
         tok = [obs.get(q) for q in model.states]
-        cstates = {}
+        keys = []
+        for t in dict.fromkeys(tok):
+            keys += [(t, act) for act in sorted({move_action[m][a]
+                                                 for m, si in enumerate(move_state)
+                                                 if tok[si] == t})]
+        move_key = [keys.index((tok[si], move_action[m][a]))
+                    for m, si in enumerate(move_state)]
+        out["move_key"].append(array("i", move_key))
+        out["key_moves"].append([sum(1 << m for m, key in enumerate(move_key) if key == k)
+                                 for k in range(len(keys))])
+        out["class_mask"].append([sum(1 << m for m, si in enumerate(move_state) if tok[si] == t)
+                                  for t, _ in keys])
+        class_keys = [[k for k, key in enumerate(keys) if key[0] == t] for t, _ in keys]
+        out["key_range"].append([range(ks[0], ks[-1] + 1) for ks in class_keys])
         for i in range(n):
-            cstates[tok[i]] = cstates.get(tok[i], 0) | (1 << i)
-        cmoves, camoves = {}, {}
-        for m, si in enumerate(move_state):
-            cmoves[tok[si]] = cmoves.get(tok[si], 0) | (1 << m)
-            key = (tok[si], move_action[m][a])
-            camoves[key] = camoves.get(key, 0) | (1 << m)
-        for i in range(n):
-            closure[i] |= cstates[tok[i]]
-        out["tok"].append(tok)
-        out["class_states"].append(cstates)
-        out["move_tok"].append([tok[si] for si in move_state])
-        out["class_moves"].append(cmoves)
-        out["class_action_moves"].append(camoves)
+            closure[i] |= sum(1 << j for j in range(n) if tok[j] == tok[i])
     out["closure_of"] = closure
     return out
 
@@ -205,14 +232,12 @@ def ref_observation_tables(model, gamma, move_state, move_action):
 def assert_tables_match(idx, label):
     model, gamma = idx.model, idx.gamma
     ref = ref_tables(model, gamma)
-    ref.update(ref_observation_tables(model, gamma, ref["move_state"],
-                                      ref["move_action"]))
+    ref.update(ref_key_tables(model, gamma, ref["move_state"], ref["move_action"]))
     for name, expected in ref.items():
         assert getattr(idx, name) == expected, (label, name)
-    # list order, not only content
-    for name in ("class_states", "class_moves", "class_action_moves"):
-        assert [list(d) for d in getattr(idx, name)] == [
-            list(d) for d in ref[name]], (label, name)
+    # every key is used by some move, and a class's keys are contiguous
+    for key_moves, key_range in zip(idx.key_moves, idx.key_range):
+        assert all(key_moves) and all(k in key_range[k] for k in range(len(key_range)))
     assert idx.all_moves_mask == (1 << len(ref["move_state"])) - 1
     for (i, combo), m in ref["_lookup"].items():
         assert idx.move_id(model.states[i], combo) == m, label
@@ -256,9 +281,9 @@ def random_moves(rng, idx, size):
     if idx.gamma and rng.random() < 0.5:
         m = rng.randrange(n_moves)
         a = rng.randrange(len(idx.gamma))
-        cls = idx.class_moves[a][idx.move_tok[a][m]]
-        other = [x for x in bits(cls)
-                 if idx.move_action[x][a] != idx.move_action[m][a]]
+        other = [x for x in range(n_moves)
+                 if ref_token(idx, a, x) == ref_token(idx, a, m)
+                 and idx.move_action[x][a] != idx.move_action[m][a]]
         if other:
             mask |= 1 << m | 1 << rng.choice(other)
     return mask
@@ -292,7 +317,7 @@ def test_pre_ce_and_moves_of_match_sweeps(label, idx):
 def test_filter_ceu_from_a_closed_floor(label, idx):
     """The fixpoint of ``small`` is a closed floor: every target ``t`` with
     ``small <= t <= filter_ceu(q1, small)`` has the same fixpoint.  The
-    search filters once per seed on this."""
+    search filters once per query, on the whole target, on this."""
     rng = random.Random(label)
     n = idx.n_states
     for _ in range(4):
@@ -341,19 +366,87 @@ def test_conflict_operators_match_per_move_definitions(label, idx):
     assert two_actions or not ref_is_conflicting(idx, idx.all_moves_mask), label
 
 
-@pytest.mark.parametrize("label,idx", INDEXES, ids=[lab for lab, _ in INDEXES])
-def test_maximal_split_matches_the_per_move_filter(label, idx):
-    rng = random.Random(label)
-    n_moves = len(idx.move_state)
-    shapes = [random_moves(rng, idx, rng.choice((1, 3, 6, 10))) for _ in range(12)]
-    # full action products over a few states take the uniform-product path
+def split_shapes(rng, idx, sizes):
+    """Random move masks, and the moves of a few whole states (every class
+    offers all its actions)."""
+    shapes = [random_moves(rng, idx, rng.choice(sizes)) for _ in range(12)]
     for _ in range(4):
         states = rng.sample(range(idx.n_states), min(idx.n_states, 3))
         shapes.append(idx.moves_of(sum(1 << i for i in states)))
-    shapes.append(idx.all_moves_mask if n_moves <= 24 else 0)
+    return shapes
+
+
+@pytest.mark.parametrize("label,idx", INDEXES, ids=[lab for lab, _ in INDEXES])
+def test_maximal_split_matches_the_per_move_filter(label, idx):
+    rng = random.Random(label)
+    shapes = split_shapes(rng, idx, (1, 3, 6, 10))
+    shapes.append(idx.all_moves_mask if len(idx.move_state) <= 24 else 0)
     for movemask in shapes:
         assert list(idx.split_all(movemask, True)) == ref_split_max(
             idx, movemask), label
+
+
+def assert_splits_match(idx, shapes, label):
+    for movemask in shapes:
+        for a in range(len(idx.gamma)):
+            for maximal in (True, False):
+                assert list(idx.split_agent(a, movemask, maximal)) == ref_split_agent(
+                    idx, a, movemask, maximal), (label, a, maximal)
+        assert list(idx.split_all(movemask, False)) == ref_split_fold(
+            idx, movemask, False), label
+
+
+@pytest.mark.parametrize("label,idx", INDEXES, ids=[lab for lab, _ in INDEXES])
+def test_splits_match_the_token_reference(label, idx):
+    assert_splits_match(idx, split_shapes(random.Random(label), idx, (1, 3, 6)), label)
+
+
+def ranking_model():
+    """Agent g leaves u1 and u4 unobserved (token None) beside the tokens
+    "z" and "a", which first appear in the reverse of their sorted order;
+    the protocols list their actions out of sorted order."""
+    states = ["u0", "u1", "u2", "u3", "u4"]
+    protocol = {"g": {"u0": ["y", "b"], "u1": ["c", "a"], "u2": ["b"],
+                      "u3": ["y", "b", "a"], "u4": ["a", "c"]},
+                "h": {q: ["s", "r"] for q in states}}
+    transition = {}
+    for i, q in enumerate(states):
+        for j, joint in enumerate(itertools.product(protocol["g"][q], protocol["h"][q])):
+            transition[(q, joint)] = states[(i + j) % len(states)]
+    observation = {"g": {"u0": "z", "u2": "a", "u3": "z"},
+                   "h": {"u0": "o", "u1": "o", "u2": "p", "u3": "o", "u4": "p"}}
+    return make_model(["g", "h"], states, protocol, transition, observation)
+
+
+@pytest.mark.parametrize("gamma", [("g",), ("g", "h")])
+def test_keys_rank_classes_by_first_appearance(gamma):
+    idx = CoalitionIndex(ranking_model(), gamma)
+    assert_tables_match(idx, "ranking %r" % (gamma,))
+    # g's classes "z", None, "a" in that order; sorted actions within each
+    first_keys = [idx.move_key[0][idx.moves_at[i][0]] for i in range(5)]
+    assert [idx.key_range[0][k] for k in first_keys] == [
+        range(0, 3), range(3, 5), range(5, 6), range(0, 3), range(3, 5)]
+    z_keys = {idx.move_action[m][0]: idx.move_key[0][m]
+              for m in (*idx.moves_at[0], *idx.moves_at[3])}
+    assert z_keys == {"a": 0, "b": 1, "y": 2}
+    rng = random.Random(7)
+    for _ in range(20):
+        base = random_moves(rng, idx, rng.choice((1, 2, 4)))
+        assert idx.clash(base) == ref_clash(idx, base)
+    assert_splits_match(idx, split_shapes(rng, idx, (1, 3, 6)) + [idx.all_moves_mask],
+                        "ranking")
+
+
+def test_tables_match_past_the_narrow_mask_width():
+    # more than 4096 moves: the key masks come from per-key id arrays
+    model = modelio.gen_castles(1, 1, 1)
+    idx = model.index(model.coalition(["c1w1", "c2w1", "c3w1"]))
+    assert len(idx.move_state) > 4096
+    assert_tables_match(idx, "castles 1,1,1 wide")
+    rng = random.Random(5)
+    for _ in range(3):
+        base = random_moves(rng, idx, 4)
+        assert idx.clash(base) == ref_clash(idx, base)
 
 
 @pytest.mark.parametrize("label,idx", INDEXES, ids=[lab for lab, _ in INDEXES])

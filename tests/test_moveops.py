@@ -64,6 +64,19 @@ def test_distinguishable_states_never_conflict(cardgame):
     assert not conflicting(cardgame, m1, m2)
 
 
+def test_conflicting_without_an_observation_map():
+    # h has no observation map, so it tells no states apart, as in the index
+    states = ["u", "v"]
+    protocol = {"g": {q: ["a"] for q in states}, "h": {q: ["c", "d"] for q in states}}
+    transition = {(q, ("a", x)): q for q in states for x in "cd"}
+    model = make_model(["g", "h"], states, protocol, transition, {"g": {"u": "u", "v": "v"}})
+    m1 = Move("u", GroupAction(("h",), ("c",)))
+    m2 = Move("v", GroupAction(("h",), ("d",)))
+    assert conflicting(model, m1, m2)
+    assert is_conflicting(model, MoveSet.of(model, ("h",), [m1, m2]))
+    assert not conflicting(model, m1, Move("v", GroupAction(("h",), ("c",))))
+
+
 def test_conflicting_requires_same_coalition(cardgame):
     m1 = player_move("deal_AK", "keep")
     m2 = Move("deal_AK", GroupAction(("dealer",), ("noop",)))
