@@ -65,13 +65,15 @@ class CoalitionIndex:
         rows = model.rows
         move_state, move_action = [], []
         moves_at = []  # per state: the range of its move ids
+        # states with equal coalition menus share their action tuples
+        combos_of = functools.cache(lambda menus: list(itertools.product(*menus)))
         succ = self.succ_mask = []
         pred = self.pred_moves = [array("i") for _ in range(n)]
         post = self.post_mask = [0] * n
         for i, q in enumerate(model.states):
             first = len(move_state)
-            combos = list(itertools.product(
-                *[per_state.get(q, ()) for per_state in coalition_protocols]))
+            combos = combos_of(tuple(per_state.get(q, ())
+                                     for per_state in coalition_protocols))
             move_state += [i] * len(combos)
             move_action.extend(combos)
             moves_at.append(range(first, first + len(combos)))

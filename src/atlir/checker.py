@@ -31,7 +31,7 @@ indistinguishability class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 from .errors import ModelError, PreconditionViolation, UnsupportedOperator
@@ -121,6 +121,12 @@ class Walk:
         if isinstance(f, Or):
             return self.sat(f.left, within) | self.sat(f.right, within)
         if isinstance(f, (CanNext, CanUntil)):
+            # hand-built nodes may name unknown, no or unordered agents
+            gamma = self.model.coalition(f.coalition)
+            if not gamma:
+                raise UnsupportedOperator("empty coalition in a strategic operator")
+            if gamma != f.coalition:
+                f = replace(f, coalition=gamma)
             return self.solve(self, f, within)
         raise UnsupportedOperator("the evaluator cannot handle %r" % (f,))
 

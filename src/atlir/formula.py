@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from .errors import (
     FormulaSyntaxError,
+    UnknownAgent,
     UnknownProposition,
     UnsupportedOperator,
 )
@@ -271,14 +272,10 @@ def normalize(f: Formula) -> Formula:
             # not (a W b)  ==  (not b) U (not a and not b)
             lhs, rhs = norm(f.lhs), norm(f.rhs)
             g = Not(CanUntil(f.coalition, _neg(rhs), Not(Or(lhs, rhs))))
-        elif isinstance(f, CanGlobally):
-            raise UnsupportedOperator("<<..>> G is outside the supported fragment")
-        elif isinstance(f, CanWeakUntil):
-            raise UnsupportedOperator("<<..>> W is outside the supported fragment")
-        elif isinstance(f, MustUntil):
-            raise UnsupportedOperator("[[..]] U is outside the supported fragment")
-        elif isinstance(f, MustEventually):
-            raise UnsupportedOperator("[[..]] F is outside the supported fragment")
+        elif type(f) in (CanGlobally, CanWeakUntil, MustUntil, MustEventually):
+            brace, op = _STRATEGIC[type(f)]
+            raise UnsupportedOperator("%s..%s %s is outside the supported fragment"
+                                      % (brace, ">>" if brace == "<<" else "]]", op))
         else:
             raise UnsupportedOperator("cannot normalize %r" % (f,))
         memo[key] = g
@@ -341,10 +338,6 @@ def _print(f, parent_prec):
     return text
 
 
-def _coal(coalition):
-    return ",".join(coalition)
-
-
 def _print_prec(f):
     if isinstance(f, TrueConst):
         return "true", _PREC_ATOM
@@ -369,7 +362,7 @@ def _print_prec(f):
     if type(f) not in _STRATEGIC:
         raise ValueError("cannot print %r" % (f,))
     brace, op = _STRATEGIC[type(f)]
-    head = "%s%s%s" % (brace, _coal(f.coalition), ">>" if brace == "<<" else "]]")
+    head = "%s%s%s" % (brace, ",".join(f.coalition), ">>" if brace == "<<" else "]]")
     if op in "XFG":
         return ("%s %s %s" % (head, op, _print(f.sub, _PREC_UNARY)), _PREC_UNARY)
     return ("%s (%s %s %s)" % (head, _print(f.lhs, 0), op, _print(f.rhs, 0)),
@@ -540,14 +533,7 @@ class _Parser:
             self.next()
             names.append(self.expect("ident", "an agent name"))
         self.expect(closing, closer)
-        agents = []
-        for _, name, npos in names:
-            expansion = self.macros.get(name)
-            if expansion is not None:
-                agents.extend(expansion)
-            else:
-                agents.append(name)
-        from .errors import UnknownAgent
+        agents = [ag for _, name, _ in names for ag in self.macros.get(name, (name,))]
         try:
             coalition = self.model.coalition(agents)
         except UnknownAgent as exc:

@@ -23,6 +23,7 @@ access, so a caller reads it once, outside any loop.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 from array import array
 from dataclasses import dataclass
@@ -60,28 +61,30 @@ class Icgs:
     Parameters mirror the mathematical components: ``agents`` and ``states``
     are ordered identifier lists, ``initial`` a subset of states, ``actions``
     a per-agent alphabet, ``protocol`` a per-agent map from state to enabled
-    actions, ``transition`` a map from (state, joint action tuple in agent
-    order) to successor state, ``observation`` a per-agent map from state to
-    an observation token, and ``labels`` a map from state to atomic
+    actions, ``transition`` the successor of each (state, joint action tuple
+    in agent order) key, ``observation`` a per-agent map from state to an
+    observation token, and ``labels`` a map from state to atomic
     propositions.
 
     The transitions are kept only as :attr:`rows`: per state position, an
     ``array('i')`` with the successor position of each joint action in
     ``itertools.product`` order of the agents' protocols (sorted tuples),
-    -1 where the transition is missing; None where some agent has no enabled
-    action.  A generator may pass them as the keyword-only ``rows`` with
-    ``transition`` None; a ``transition`` mapping is tabulated into them,
-    and its entries that lead to an undeclared state read -2.  Rows that do
-    not fit the protocols raise :class:`ModelError`.  ``n_transitions`` is
-    the number of entries the rows hold, the length of :attr:`transition`.
-    Duplicate protocol actions and transitions that fit no row are recorded
-    at construction; :func:`validate` reports them with every other issue.
-    Instances are immutable once built and may be shared freely across
-    threads.
+    -1 where the transition is missing, -2 where it leads to an undeclared
+    state; None where some agent has no enabled action.  ``transition`` is
+    anything ``dict()`` accepts, a mapping or an iterable of (key, successor)
+    pairs, read once straight into the rows: no way of building a model
+    builds a transition dictionary, and a later pair for a key wins.  A
+    generator may pass the rows instead, as the keyword-only ``rows`` with
+    ``transition`` None; rows that do not fit the protocols raise
+    :class:`ModelError`.  Duplicate protocol actions, keys given a second
+    successor and pairs that fit no row or lead to an undeclared state are
+    recorded at construction; :func:`validate` reports them with every other
+    issue.  Instances are immutable once built and may be shared freely
+    across threads.
     """
 
     def __init__(self, agents, states, initial, actions, protocol,
-                 transition, observation, labels, extra_issues=(), *, rows=None):
+                 transition, observation, labels, *, rows=None):
         self.agents = tuple(agents)
         self.states = tuple(states)
         if len(set(self.agents)) != len(self.agents):
@@ -94,7 +97,7 @@ class Icgs:
         self.initial = tuple(q for q in self.states if q in initial_set)
         self._initial_raw = tuple(initial)
         self.actions = {ag: tuple(acts) for ag, acts in dict(actions).items()}
-        self._issues = issues = list(extra_issues)
+        self._issues = issues = []
         self.protocol = {}
         for ag, per_state in dict(protocol).items():
             self.protocol[ag] = menus = {}
@@ -107,10 +110,7 @@ class Icgs:
                         "more than once: %r" % (ag, q, acts)))
         if (rows is None) == (transition is None):
             raise ModelError("give the transitions either as a mapping or as rows")
-        self.rows = self._tabulate(transition) if rows is None else rows
-        self.n_transitions = self._check_rows()
-        if transition is not None and self.n_transitions != len(transition):
-            self._misfits(transition)
+        self.rows = self._fill(transition) if rows is None else self._check_rows(rows)
         self.observation = {
             ag: dict(per_state) for ag, per_state in dict(observation).items()
         }
@@ -120,31 +120,65 @@ class Icgs:
         self._label_masks = None
         self._all_mask = (1 << len(self.states)) - 1
 
-    def _tabulate(self, transition):
-        """The rows of a ``transition`` mapping, -1 wherever it has no
-        declared successor."""
+    def _fill(self, transition):
+        """The rows of ``transition``, filled in one pass over its pairs.  A
+        key given another successor is recorded as nondeterministic when it
+        comes.  Keys that fit no row slot, and slots whose last successor is
+        undeclared (they read -2, so they are not reported missing too), are
+        recorded as dangling after the pass."""
         code = self._state_pos.get
-        target = transition.get
         protocols = [self.protocol.get(ag, {}) for ag in self.agents]
-        rows = []
-        for q in self.states:
-            proto = [per_state.get(q, ()) for per_state in protocols]
-            rows.append(array("i", [code(target((q, joint)), -1)
-                                    for joint in itertools.product(*proto)])
-                        if all(proto) else None)
+        slot_of = functools.cache(  # menus -> {joint action: row slot}
+            lambda menus: dict(zip(itertools.product(*menus), itertools.count())))
+        slots = [slot_of(tuple(per_state.get(q, ()) for per_state in protocols))
+                 for q in self.states]
+        rows = [array("i", [-1]) * len(table) if table else None for table in slots]
+        odd = {}  # key -> last successor, where that has no row slot or reads -2
+        issues = self._issues
+        pairs = transition.items() if isinstance(transition, Mapping) else transition
+        for key, succ in pairs:
+            q, joint = key
+            i = code(q)
+            slot = None if i is None else slots[i].get(joint)
+            if slot is None:
+                prev = odd.get(key)
+                odd[key] = succ
+            else:
+                prev = rows[i][slot]
+                t = rows[i][slot] = code(succ, -2)
+                if prev == -1 and t >= 0:
+                    continue
+                prev = (None if prev == -1 else odd[key] if prev == -2
+                        else self.states[prev])
+                if t == -2:
+                    odd[key] = succ
+            if prev is not None and prev != succ:
+                issues.append(ValidationIssue(
+                    NONDETERMINISTIC_TRANSITION,
+                    "two transitions from %r under %r lead to %r and %r"
+                    % (q, joint, prev, succ)))
+        for (q, joint), succ in odd.items():
+            i = code(q)
+            if i is None or joint not in slots[i]:
+                issues.append(ValidationIssue(DANGLING_REFERENCE, (
+                    "transition from unknown state %r" % (q,) if i is None else
+                    "transition from %r under disabled joint action %r" % (q, joint))))
+            elif rows[i][slots[i][joint]] != -2:
+                continue  # a later pair gave it a declared successor
+            if code(succ) is None:
+                issues.append(ValidationIssue(
+                    DANGLING_REFERENCE,
+                    "transition from %r leads to unknown state %r" % (q, succ)))
         return rows
 
-    def _check_rows(self):
-        """The number of transitions the rows hold.  Raises ModelError
-        unless each state's row has one entry per joint action, or is None
-        where some agent has no enabled action, and every entry is -1 or a
-        state position."""
-        rows = self.rows
+    def _check_rows(self, rows):
+        """The rows given.  Raises ModelError unless each state's row has one
+        entry per joint action, or is None where some agent has no enabled
+        action, and every entry is -1 or a state position."""
         if len(rows) != len(self.states):
             raise ModelError("%d rows for %d states" % (len(rows), len(self.states)))
         protocols = [self.protocol.get(ag, {}) for ag in self.agents]
         last = len(self.states) - 1
-        count = 0
         for q, row in zip(self.states, rows):
             width = 1
             for per_state in protocols:
@@ -157,32 +191,13 @@ class Icgs:
             if min(row) < -1 or max(row) > last:
                 raise ModelError("the row of %r holds an entry outside -1..%d"
                                  % (q, last))
-            count += width - row.count(-1)
-        return count
+        return rows
 
-    def _misfits(self, transition):
-        """Record an issue for every entry of ``transition`` that fits no row
-        or leads to an undeclared state; the row slot of the latter is -2,
-        so that it is not reported missing as well."""
-        def dangling(msg):
-            self._issues.append(ValidationIssue(DANGLING_REFERENCE, msg))
-
-        protocols = [self.protocol.get(ag, {}) for ag in self.agents]
-        for (q, joint), succ in transition.items():
-            i = self._state_pos.get(q)
-            if i is None:
-                dangling("transition from unknown state %r" % (q,))
-            elif self.rows[i] is None or len(joint) != len(protocols) or not all(
-                    a in per_state[q] for a, per_state in zip(joint, protocols)):
-                dangling("transition from %r under disabled joint action %r"
-                         % (q, joint))
-            elif succ not in self._state_pos:
-                slot = 0
-                for a, per_state in zip(joint, protocols):
-                    slot = slot * len(per_state[q]) + per_state[q].index(a)
-                self.rows[i][slot] = -2
-            if succ not in self._state_pos:
-                dangling("transition from %r leads to unknown state %r" % (q, succ))
+    @functools.cached_property
+    def n_transitions(self) -> int:
+        """The number of entries the rows hold, the length of :attr:`transition`."""
+        return sum(len(row) - row.count(-1) - row.count(-2)
+                   for row in self.rows if row is not None)
 
     @property
     def transition(self) -> dict:

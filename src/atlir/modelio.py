@@ -15,7 +15,9 @@ Document layout (all eight keys required)::
 
 Serialisation is canonical: keys and lists are sorted, so documents diff
 cleanly and ``save . load`` is the identity on documents.  Loading validates
-the structure and raises with every violated well-formedness condition.
+the structure and raises with every violated well-formedness condition.  The
+loader checks each transition entry as it hands it to :class:`Icgs`, as a
+((state, joint action), successor) pair that goes straight into the rows.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from array import array
 from json.encoder import encode_basestring_ascii as esc
 
 from .errors import CapExceeded, DocumentError
-from .icgs import NONDETERMINISTIC_TRANSITION, Icgs, ValidationIssue
+from .icgs import Icgs
 
 CASTLES_WORKER_CAP = 7
 
@@ -87,30 +89,22 @@ def from_document(doc) -> Icgs:
     if not isinstance(triples, list):
         raise DocumentError("'transitions' must be a list of triples")
     agent_set = set(agents)
-    transition = {}
-    issues = []
-    for k, entry in enumerate(triples):
-        if not (type(entry) is list and len(entry) == 3
-                and type(entry[0]) is str and type(entry[2]) is str
-                and type(entry[1]) is dict and entry[1].keys() == agent_set):
-            _check_entry(k, entry, agents)
-        source, joint_map, target = entry
-        joint = tuple(map(joint_map.__getitem__, agents))
-        try:
-            "".join(joint)  # raises TypeError iff an action is no string
-        except TypeError:
-            _check_entry(k, entry, agents)
-        key = (source, joint)
-        prev = transition.setdefault(key, target)
-        if prev != target:
-            issues.append(ValidationIssue(
-                NONDETERMINISTIC_TRANSITION,
-                "two transitions from %r under %r lead to %r and %r"
-                % (source, joint, prev, target)))
-            transition[key] = target
 
-    model = Icgs(agents, states, initial, actions, protocol, transition, obs,
-                 labels, extra_issues=issues)
+    def pairs():
+        for k, entry in enumerate(triples):
+            if not (type(entry) is list and len(entry) == 3
+                    and type(entry[0]) is str and type(entry[2]) is str
+                    and type(entry[1]) is dict and entry[1].keys() == agent_set):
+                _check_entry(k, entry, agents)
+            source, joint_map, target = entry
+            joint = tuple(map(joint_map.__getitem__, agents))
+            try:
+                "".join(joint)  # raises TypeError iff an action is no string
+            except TypeError:
+                _check_entry(k, entry, agents)
+            yield (source, joint), target
+
+    model = Icgs(agents, states, initial, actions, protocol, pairs(), obs, labels)
     return model.require_valid()
 
 

@@ -21,6 +21,7 @@ their own solver for the strategic operators and a memo for one call.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -47,7 +48,11 @@ class UniformStrategy:
         return tuple(dict(per_agent) for per_agent in self.assignment)
 
     def group_action(self, model: Icgs, state) -> GroupAction:
-        tables = self.action_table()
+        return GroupAction(self.coalition,
+                           self._picks(model, self.action_table(), state))
+
+    def _picks(self, model: Icgs, tables, state) -> tuple:
+        """The coalition's actions in ``state``, read from ``action_table()``."""
         picks = []
         for ag, table in zip(self.coalition, tables):
             token = model.observation[ag].get(state)
@@ -55,7 +60,7 @@ class UniformStrategy:
                 raise IncompleteStrategy(
                     "strategy has no choice for agent %r in state %r" % (ag, state))
             picks.append(table[token])
-        return GroupAction(self.coalition, tuple(picks))
+        return tuple(picks)
 
     def move_set(self, model: Icgs) -> MoveSet:
         return MoveSet.of(model, self.coalition,
@@ -64,12 +69,8 @@ class UniformStrategy:
 
 def count_uniform(model: Icgs, coalition) -> int:
     """The number of uniform strategies of the coalition."""
-    gamma = model.coalition(coalition)
-    total = 1
-    for ag in gamma:
-        for _, acts in _classes(model, ag):
-            total *= len(acts)
-    return total
+    return math.prod(len(acts) for ag in model.coalition(coalition)
+                     for _, acts in _classes(model, ag))
 
 
 def _classes(model, agent):
@@ -89,10 +90,7 @@ def enumerate_uniform(model: Icgs, coalition, cap: int = DEFAULT_CAP):
     """
     gamma = model.coalition(coalition)
     per_agent = [_classes(model, ag) for ag in gamma]
-    total = 1
-    for classes in per_agent:
-        for _, acts in classes:
-            total *= len(acts)
+    total = math.prod(len(acts) for classes in per_agent for _, acts in classes)
     if total > cap:
         raise EnumerationCapExceeded(
             "%d uniform strategies exceed the cap of %d" % (total, cap))
@@ -114,17 +112,8 @@ def _strategy_succ(model, strategy: UniformStrategy):
     """Per state, the successor mask over all completions of the strategy."""
     idx = model.index(strategy.coalition)
     tables = strategy.action_table()
-    succ = []
-    for q in model.states:
-        picks = []
-        for ag, table in zip(strategy.coalition, tables):
-            token = model.observation[ag].get(q)
-            if token not in table:
-                raise IncompleteStrategy(
-                    "strategy has no choice for agent %r in state %r" % (ag, q))
-            picks.append(table[token])
-        succ.append(idx.succ_mask[idx.move_id(q, tuple(picks))])
-    return succ
+    return [idx.succ_mask[idx.move_id(q, strategy._picks(model, tables, q))]
+            for q in model.states]
 
 
 def strategy_sat_u(model: Icgs, strategy: UniformStrategy,

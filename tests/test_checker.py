@@ -6,7 +6,13 @@ import sys
 import pytest
 
 from atlir.checker import EvalCache, check, eval_ceu, evaluate
-from atlir.errors import ModelError, PreconditionViolation, UnsupportedOperator
+from atlir.errors import (
+    FormulaError,
+    ModelError,
+    PreconditionViolation,
+    UnknownAgent,
+    UnsupportedOperator,
+)
 from atlir.formula import (
     TRUE,
     Atom,
@@ -19,9 +25,9 @@ from atlir.formula import (
     parse,
 )
 from atlir.icgs import MoveSet, all_moves, gamma_closure, moves_of, with_perfect_information
-from atlir.modelio import gen_castles
+from atlir.modelio import gen_cardgame, gen_castles
 from atlir.moveops import filter_ceu, pre_ce, split_max
-from atlir.oracle import oracle_eval
+from atlir.oracle import oracle_eval, perfect_info_eval
 
 from corpus import make_model, random_formula, random_model
 
@@ -82,6 +88,25 @@ def test_dealer_can_hand_out_any_deal(cardgame):
     sat = evaluate(cardgame, cardgame.all_states(),
                    normalize(parse("<<dealer>> X true", cardgame)))
     assert sat == cardgame.all_states()
+
+
+EVALUATORS = [lambda m, f: check(m, f).sat, oracle_eval, perfect_info_eval]
+
+
+@pytest.mark.parametrize("evaluate_with", EVALUATORS,
+                         ids=["check", "oracle_eval", "perfect_info_eval"])
+def test_hand_built_coalitions_are_checked_like_parsed_ones(evaluate_with):
+    model = gen_cardgame()  # fresh: its index cache is inspected below
+    with pytest.raises(UnknownAgent):
+        evaluate_with(model, CanNext(("ghost",), Atom("win")))
+    with pytest.raises(FormulaError):
+        evaluate_with(model, CanUntil((), TRUE, Atom("win")))
+    for make in (lambda c: CanNext(c, Not(Atom("win"))),
+                 lambda c: CanUntil(c, TRUE, Atom("win"))):
+        assert (evaluate_with(model, make(("player", "dealer")))
+                == evaluate_with(model, make(("dealer", "player"))))
+    # only the canonical coalition gets an index
+    assert set(model._indexes) == {("dealer", "player")}
 
 
 # -- eval_ceu ------------------------------------------------------------------

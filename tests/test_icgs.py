@@ -146,16 +146,72 @@ def test_transition_faults_are_reported_verbatim(faults):
 def test_perfect_information_copy_keeps_the_issues():
     noted = icgs.Icgs(
         ["g"], ["u"], ["u", "w"], {"g": ["a"]}, {"g": {"u": ["a"]}},
-        {("u", ("a",)): "u"}, {"g": {"u": "o"}}, {},
-        extra_issues=[icgs.ValidationIssue(
-            icgs.NONDETERMINISTIC_TRANSITION,
-            "two transitions from 'u' under ('a',) lead to 'u' and 'v'")])
+        [(("u", ("a",)), "v"), (("u", ("a",)), "u")], {"g": {"u": "o"}}, {})
     for model in (faulty_model(TRANSITION_FAULTS), noted):
         pi = with_perfect_information(model)
         assert len(validate(model)) >= 2
         assert validate(pi) == validate(model)
         assert pi.rows is model.rows
         assert pi.index(("g",)) is not model.index(("g",))
+
+
+def from_pairs(pairs):
+    """The two-state model of ``faulty_model`` with transitions ``pairs``."""
+    return icgs.Icgs(["g"], ["u", "v"], ["u"], {"g": ["a", "b"]},
+                     {"g": {"u": ["a", "b"], "v": ["a"]}}, pairs,
+                     {"g": {"u": "u", "v": "v"}}, {})
+
+
+def issues_of(model):
+    return [(issue.kind, issue.message) for issue in validate(model)]
+
+
+def test_pairs_fill_the_rows_as_their_last_wins_mapping():
+    rng = random.Random(5)
+    keys = [("u", ("a",)), ("u", ("b",)), ("v", ("a",)), ("v", ("b",)),
+            ("z", ("a",)), ("u", ("a", "a"))]
+    for _ in range(200):
+        pairs = [(rng.choice(keys), rng.choice(["u", "v", "x"]))
+                 for _ in range(rng.randint(0, 8))]
+        mapped, paired = from_pairs(dict(pairs)), from_pairs(pairs)
+        assert paired.rows == mapped.rows
+        assert paired.n_transitions == mapped.n_transitions
+        # the pairs add one issue per changed successor, in their order;
+        # dangling keys come in the order they first turned so, which can
+        # differ from the mapping's key order where a key repeats
+        changes = []
+        last = {}
+        for key, succ in pairs:
+            if last.setdefault(key, succ) != succ:
+                changes.append(("NondeterministicTransition",
+                                "two transitions from %r under %r lead to %r and %r"
+                                % (*key, last[key], succ)))
+                last[key] = succ
+        issues = issues_of(paired)
+        assert issues[:len(changes)] == changes
+        assert sorted(issues[len(changes):]) == sorted(issues_of(mapped))
+
+
+def test_a_chain_through_an_undeclared_state_names_every_successor():
+    key = ("u", ("a",))
+    model = from_pairs([(key, succ) for succ in ("v", "ghost", "u", "ghost")]
+                       + [(("u", ("b",)), "u"), (("v", ("a",)), "u")])
+    assert model.rows == [array("i", [-2, 0]), array("i", [0])]
+    assert model.n_transitions == len(model.transition) == 2
+    assert issues_of(model) == [
+        ("NondeterministicTransition",
+         "two transitions from 'u' under ('a',) lead to %r and %r" % change)
+        for change in [("v", "ghost"), ("ghost", "u"), ("u", "ghost")]] + [
+        ("DanglingReference", "transition from 'u' leads to unknown state 'ghost'")]
+
+
+def test_a_one_shot_iterator_is_read_once(cardgame):
+    items = iter(cardgame.transition.items())
+    model = icgs.Icgs(cardgame.agents, cardgame.states, cardgame.initial,
+                      cardgame.actions, cardgame.protocol, items,
+                      cardgame.observation, cardgame.labels)
+    assert model == cardgame and validate(model) == []
+    assert next(items, None) is None
 
 
 def test_repr_counts_transitions_without_building_them(castles111):

@@ -141,6 +141,20 @@ def test_save_writes_the_text_as_it_is_produced(castles112, tmp_path):
     assert peak < len(text)
 
 
+def test_loader_builds_no_transition_dictionary(castles112):
+    doc = json.loads(dumps(castles112))
+    tracemalloc.start()
+    try:
+        model = from_document(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model == castles112
+    # the rows take 4 bytes per transition; a (state, joint) dict of its
+    # 76,088 transitions took about 14 MB
+    assert peak < 5_000_000
+
+
 def test_dumps_is_canonical(cardgame):
     text = dumps(cardgame)
     assert text == dumps(loads(text))
@@ -512,7 +526,8 @@ def ref_from_document(doc):
         transition[(source, joint)] = target
 
     model = Icgs(agents, states, initial, actions, protocol, transition, obs,
-                 labels, extra_issues=issues)
+                 labels)
+    model._issues[:0] = issues
     return model.require_valid()
 
 
