@@ -31,6 +31,9 @@ of the mask, is the union over the keys the mask uses of their class's moves
 with another key; compatibility, conflict and the maximality of a split are
 each one mask expression over it.  It distributes over union, so a search
 can carry the clash of its fragment down its stack.
+
+The module owns :func:`bits` and imports nothing from the package but its
+errors: the public wrappers of :mod:`atlir.icgs` sit on top of it.
 """
 
 from __future__ import annotations
@@ -38,9 +41,28 @@ from __future__ import annotations
 import functools
 import itertools
 from array import array
+from typing import Iterator
 
 from .errors import DisabledJointAction
-from .icgs import bits
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Iterate over set bit positions, lowest first."""
+    if mask.bit_length() > 4096:
+        # Clearing bit by bit copies the whole int per bit; on move masks of
+        # large models, scanning the binary text once is linear instead.  On
+        # masks up to a few thousand bits the scan's fixed cost loses.
+        text = bin(mask)
+        last = len(text) - 1
+        j = text.rfind("1")
+        while j > 1:
+            yield last - j
+            j = text.rfind("1", 2, j)
+        return
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class CoalitionIndex:

@@ -46,8 +46,7 @@ from .formula import (
     normalize,
     parse,
 )
-from .icgs import Icgs, MoveSet, StateSet, state_mask
-from .moveops import _check_set
+from .icgs import Icgs, MoveSet, StateSet, move_mask, state_mask
 
 
 @dataclass
@@ -186,22 +185,22 @@ def eval_ceu(model: Icgs, interest: StateSet, strategy: MoveSet,
     ``strategy`` conflict-free and disjoint from ``exclude``; violations
     raise :class:`PreconditionViolation` since they indicate a caller bug.
     """
-    strategy = _check_set(model, strategy.coalition, strategy)
-    exclude = _check_set(model, strategy.coalition, exclude)
+    gamma = strategy.coalition
+    smask, xmask = move_mask(model, gamma, strategy), move_mask(model, gamma, exclude)
     imask, q1mask = state_mask(model, interest), state_mask(model, q1)
     state_mask(model, q2)  # unread, but held to the same model
-    idx = model.index(strategy.coalition)
-    if idx.is_conflicting(strategy.mask):
+    idx = model.index(gamma)
+    if idx.is_conflicting(smask):
         raise PreconditionViolation("strategy is conflicting")
-    if strategy.mask & exclude.mask:
+    if smask & xmask:
         raise PreconditionViolation("exclude overlaps the strategy")
     if idx.closure(imask) != imask:
         raise PreconditionViolation(
             "interest is not closed under coalition indistinguishability")
     stats = CheckStats()
-    notlose = idx.filter_ceu(q1mask, idx.cover(strategy.mask), stats)
-    won = _ceu_search(idx, idx.closed_within(imask, notlose), strategy.mask,
-                      idx.moves_of(q1mask), exclude.mask, stats)
+    notlose = idx.filter_ceu(q1mask, idx.cover(smask), stats)
+    won = _ceu_search(idx, idx.closed_within(imask, notlose), smask,
+                      idx.moves_of(q1mask), xmask, stats)
     return StateSet(model, won)
 
 

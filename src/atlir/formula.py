@@ -215,6 +215,15 @@ _STRATEGIC = {
 }
 _STRATEGIC_CLASS = {key: cls for cls, key in _STRATEGIC.items()}
 
+# binary connective class -> (token kind, text, precedence, right associative),
+# loosest first; the unary operators bind tighter than all of them
+_BINARY = {
+    Iff: ("iff", "<->", 0, False), Implies: ("implies", "->", 1, True),
+    Or: ("or", "|", 2, False), And: ("and", "&", 3, False),
+}
+_BINARY_TOKEN = {kind: (cls, prec, right)
+                 for cls, (kind, _, prec, right) in _BINARY.items()}
+
 
 # ---------------------------------------------------------------------------
 # Normalisation
@@ -322,7 +331,7 @@ def _children(f: Formula):
 # Printing
 # ---------------------------------------------------------------------------
 
-_PREC_IFF, _PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_UNARY, _PREC_ATOM = range(6)
+_PREC_UNARY, _PREC_ATOM = len(_BINARY), len(_BINARY) + 1
 
 
 def to_text(f: Formula) -> str:
@@ -345,20 +354,11 @@ def _print_prec(f):
         return f.name, _PREC_ATOM
     if isinstance(f, Not):
         return "!" + _print(f.sub, _PREC_UNARY), _PREC_UNARY
-    if isinstance(f, And):
-        # left associative: wrap a right child of equal precedence
-        return ("%s & %s" % (_print(f.left, _PREC_AND),
-                             _print(f.right, _PREC_AND + 1)), _PREC_AND)
-    if isinstance(f, Or):
-        return ("%s | %s" % (_print(f.left, _PREC_OR),
-                             _print(f.right, _PREC_OR + 1)), _PREC_OR)
-    if isinstance(f, Implies):
-        # right associative: wrap a left child of equal precedence
-        return ("%s -> %s" % (_print(f.left, _PREC_IMPLIES + 1),
-                              _print(f.right, _PREC_IMPLIES)), _PREC_IMPLIES)
-    if isinstance(f, Iff):
-        return ("%s <-> %s" % (_print(f.left, _PREC_IFF),
-                               _print(f.right, _PREC_IFF + 1)), _PREC_IFF)
+    if type(f) in _BINARY:
+        # wrap a child of equal precedence on the side it does not group to
+        _, text, prec, right = _BINARY[type(f)]
+        return ("%s %s %s" % (_print(f.left, prec + right), text,
+                              _print(f.right, prec + (not right))), prec)
     if type(f) not in _STRATEGIC:
         raise ValueError("cannot print %r" % (f,))
     brace, op = _STRATEGIC[type(f)]
@@ -460,7 +460,7 @@ class _Parser:
         return tok
 
     def parse(self):
-        f = self.parse_iff()
+        f = self.parse_binary()
         tok = self.peek()
         if tok[0] != "eof":
             raise FormulaSyntaxError("unexpected trailing input %r" % tok[1], tok[2])
@@ -471,34 +471,23 @@ class _Parser:
                 " chain of '&', '|' or '<->' is one level)" % MAX_HEIGHT, 0)
         return f
 
-    def parse_iff(self):
-        f = self.parse_implies()
-        while self.peek()[0] == "iff":
-            self.next()
-            f = Iff(f, self.parse_implies())
-        return f
-
-    def parse_implies(self):
-        f = self.parse_or()
-        if self.peek()[0] == "implies":
-            self.descend(self.next()[2])
-            f = Implies(f, self.parse_implies())
-            self.depth -= 1
-        return f
-
-    def parse_or(self):
-        f = self.parse_and()
-        while self.peek()[0] == "or":
-            self.next()
-            f = Or(f, self.parse_and())
-        return f
-
-    def parse_and(self):
+    def parse_binary(self, prec=0):
+        """A formula whose connectives bind at least as tightly as ``prec``,
+        by precedence climbing: a left associative chain is read in this
+        loop, a right associative one by one descent per operator."""
         f = self.parse_unary()
-        while self.peek()[0] == "and":
+        while True:
+            kind, _, pos = self.peek()
+            cls, level, right = _BINARY_TOKEN.get(kind, (None, -1, False))
+            if level < prec:
+                return f
             self.next()
-            f = And(f, self.parse_unary())
-        return f
+            if right:
+                self.descend(pos)
+                f = cls(f, self.parse_binary(level))
+                self.depth -= 1
+            else:
+                f = cls(f, self.parse_binary(level + 1))
 
     def parse_unary(self):
         kind, text, pos = self.peek()
@@ -509,7 +498,7 @@ class _Parser:
                 f = Not(self.parse_unary())
             elif kind == "lparen":
                 self.next()
-                f = self.parse_iff()
+                f = self.parse_binary()
                 self.expect("rparen", "')'")
             else:
                 f = self.parse_strategic()
@@ -545,12 +534,12 @@ class _Parser:
         if kind == "ident" and text in ("X", "F", "G"):
             return _STRATEGIC_CLASS[brace, text](coalition, self.parse_unary())
         if kind == "lparen":
-            lhs = self.parse_iff()
+            lhs = self.parse_binary()
             optok = self.next()
             if optok[0] != "ident" or optok[1] not in ("U", "W"):
                 raise FormulaSyntaxError(
                     "expected 'U' or 'W', found %r" % optok[1], optok[2])
-            rhs = self.parse_iff()
+            rhs = self.parse_binary()
             self.expect("rparen", "')'")
             return _STRATEGIC_CLASS[brace, optok[1]](coalition, lhs, rhs)
         raise FormulaSyntaxError(

@@ -27,8 +27,9 @@ import functools
 import itertools
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
+from ._index import CoalitionIndex, bits
 from .errors import (
     CoalitionMismatch,
     DisabledJointAction,
@@ -115,6 +116,9 @@ class Icgs:
             ag: dict(per_state) for ag, per_state in dict(observation).items()
         }
         self.labels = {q: frozenset(labels.get(q, ())) for q in self.states}
+        issues.extend(ValidationIssue(DANGLING_REFERENCE,
+                                      "labels mention unknown state %r" % (q,))
+                      for q in labels if q not in self._state_pos)
         self.atoms = frozenset().union(*self.labels.values()) if self.labels else frozenset()
         self._indexes = {}
         self._label_masks = None
@@ -282,11 +286,17 @@ class Icgs:
                 "invalid model: " + "; ".join(str(i) for i in issues), issues)
         return self
 
-    def index(self, gamma: tuple):
-        """Internal per-coalition index (cached); ``gamma`` must be canonical."""
+    def index(self, coalition) -> CoalitionIndex:
+        """The mask engine of any group of agents, built once per coalition.
+        A tuple already cached is one dict hit; anything else goes through
+        :meth:`coalition` and is cached under its model-order tuple, ``gamma``."""
+        try:
+            return self._indexes[coalition]
+        except (KeyError, TypeError):  # not cached as given, or a list
+            pass
+        gamma = self.coalition(coalition)
         idx = self._indexes.get(gamma)
         if idx is None:
-            from ._index import CoalitionIndex
             idx = self._indexes[gamma] = CoalitionIndex(self, gamma)
         return idx
 
@@ -297,12 +307,6 @@ class GroupAction:
 
     coalition: tuple
     picks: tuple
-
-    def pick(self, agent):
-        try:
-            return self.picks[self.coalition.index(agent)]
-        except ValueError:
-            raise UnknownAgent("agent %r not in coalition" % (agent,)) from None
 
     def completes(self, model: Icgs, joint: tuple) -> bool:
         """True iff the full joint action agrees with this one on the coalition."""
@@ -322,25 +326,6 @@ class Move:
         return self.action.coalition
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Iterate over set bit positions, lowest first."""
-    if mask.bit_length() > 4096:
-        # Clearing bit by bit copies the whole int per bit; on move masks of
-        # large models, scanning the binary text once is linear instead.  On
-        # masks up to a few thousand bits the scan's fixed cost loses.
-        text = bin(mask)
-        last = len(text) - 1
-        j = text.rfind("1")
-        while j > 1:
-            yield last - j
-            j = text.rfind("1", 2, j)
-        return
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class StateSet:
     """An immutable set of states of one model, iterated in state order."""
 
@@ -350,10 +335,6 @@ class StateSet:
         self.model = model
         self.mask = mask
         self._idcache = None
-
-    @classmethod
-    def of(cls, model: Icgs, states: Iterable[str]) -> "StateSet":
-        return model.state_set(states)
 
     def ids(self) -> frozenset:
         if self._idcache is None:
@@ -373,28 +354,20 @@ class StateSet:
         pos = self.model._state_pos.get(state)
         return pos is not None and (self.mask >> pos) & 1 == 1
 
-    def _coerce(self, other):
-        if not isinstance(other, StateSet):
-            raise TypeError("expected a StateSet, got %r" % (other,))
-        if other.model is not self.model:
-            raise ModelError("state sets belong to different models")
-        return other
-
     def __or__(self, other):
-        return StateSet(self.model, self.mask | self._coerce(other).mask)
+        return StateSet(self.model, self.mask | state_mask(self.model, other))
 
     def __and__(self, other):
-        return StateSet(self.model, self.mask & self._coerce(other).mask)
+        return StateSet(self.model, self.mask & state_mask(self.model, other))
 
     def __sub__(self, other):
-        return StateSet(self.model, self.mask & ~self._coerce(other).mask)
+        return StateSet(self.model, self.mask & ~state_mask(self.model, other))
 
     def __le__(self, other):
-        return self.mask & ~self._coerce(other).mask == 0
+        return self.mask & ~state_mask(self.model, other) == 0
 
     def __lt__(self, other):
-        other = self._coerce(other)
-        return self.mask != other.mask and self.mask & ~other.mask == 0
+        return self.mask != state_mask(self.model, other) and self <= other
 
     def __eq__(self, other):
         if not isinstance(other, StateSet):
@@ -413,9 +386,9 @@ class StateSet:
 def state_mask(model: Icgs, qs: StateSet) -> int:
     """The mask of ``qs``, which must be a state set of ``model``.
 
-    Every public operator that takes a state set checks it here, so a set
-    from another model raises :class:`ModelError` instead of indexing past
-    the model's tables.
+    Every public operator that takes a state set, the set operators
+    included, checks it here, so a set from another model raises
+    :class:`ModelError` instead of indexing past the model's tables.
     """
     if not isinstance(qs, StateSet):
         raise TypeError("expected a StateSet, got %r" % (qs,))
@@ -428,12 +401,16 @@ class MoveSet:
     """An immutable set of moves of one coalition over one model.
 
     Iteration order is canonical: state-major (model state order), then
-    lexicographic on the action tuple.
+    lexicographic on the action tuple.  ``coalition`` is a tuple in model
+    order; anything else raises :class:`CoalitionMismatch`.
     """
 
     __slots__ = ("model", "coalition", "mask", "_movecache")
 
     def __init__(self, model: Icgs, coalition: tuple, mask: int):
+        if model.index(coalition).gamma != coalition:
+            raise CoalitionMismatch(
+                "move set coalition %r is not in model order" % (coalition,))
         self.model = model
         self.coalition = coalition
         self.mask = mask
@@ -441,8 +418,8 @@ class MoveSet:
 
     @classmethod
     def of(cls, model: Icgs, coalition, moves: Iterable[Move]) -> "MoveSet":
-        gamma = model.coalition(coalition)
-        idx = model.index(gamma)
+        idx = model.index(coalition)
+        gamma = idx.gamma
         mask = 0
         for mv in moves:
             if mv.action.coalition != gamma:
@@ -478,28 +455,20 @@ class MoveSet:
     def __contains__(self, move):
         return isinstance(move, Move) and move in self.moves()
 
-    def _coerce(self, other):
-        if not isinstance(other, MoveSet):
-            raise TypeError("expected a MoveSet, got %r" % (other,))
-        if other.model is not self.model:
-            raise ModelError("move sets belong to different models")
-        if other.coalition != self.coalition:
-            raise CoalitionMismatch(
-                "move sets over different coalitions: %r vs %r"
-                % (self.coalition, other.coalition))
-        return other
-
     def __or__(self, other):
-        return MoveSet(self.model, self.coalition, self.mask | self._coerce(other).mask)
+        mask = move_mask(self.model, self.coalition, other)
+        return MoveSet(self.model, self.coalition, self.mask | mask)
 
     def __and__(self, other):
-        return MoveSet(self.model, self.coalition, self.mask & self._coerce(other).mask)
+        mask = move_mask(self.model, self.coalition, other)
+        return MoveSet(self.model, self.coalition, self.mask & mask)
 
     def __sub__(self, other):
-        return MoveSet(self.model, self.coalition, self.mask & ~self._coerce(other).mask)
+        mask = move_mask(self.model, self.coalition, other)
+        return MoveSet(self.model, self.coalition, self.mask & ~mask)
 
     def __le__(self, other):
-        return self.mask & ~self._coerce(other).mask == 0
+        return self.mask & ~move_mask(self.model, self.coalition, other) == 0
 
     def __eq__(self, other):
         if not isinstance(other, MoveSet):
@@ -515,6 +484,20 @@ class MoveSet:
         body = ", ".join("<%s, %s>" % (m.state, "/".join(m.action.picks))
                          for m in self.moves())
         return "MoveSet[%s]{%s}" % (",".join(self.coalition), body)
+
+
+def move_mask(model: Icgs, gamma: tuple, ms: MoveSet) -> int:
+    """The mask of ``ms``, which must be a move set of ``model`` over the
+    model-order coalition ``gamma``.  Every public operator that takes a move
+    set checks it here, as :func:`state_mask` does for state sets."""
+    if not isinstance(ms, MoveSet):
+        raise TypeError("expected a MoveSet, got %r" % (ms,))
+    if ms.model is not model:
+        raise ModelError("move set belongs to a different model")
+    if ms.coalition != gamma:
+        raise CoalitionMismatch(
+            "move set is over %r, expected %r" % (ms.coalition, gamma))
+    return ms.mask
 
 
 # ---------------------------------------------------------------------------
@@ -619,16 +602,14 @@ def enabled_group(model: Icgs, coalition, state) -> frozenset:
 
 def all_moves(model: Icgs, coalition) -> MoveSet:
     """Every enabled coalition move of the model, over every state."""
-    gamma = model.coalition(coalition)
-    idx = model.index(gamma)
-    return MoveSet(model, gamma, idx.all_moves_mask)
+    idx = model.index(coalition)
+    return MoveSet(model, idx.gamma, idx.all_moves_mask)
 
 
 def moves_of(model: Icgs, coalition, qs: StateSet) -> MoveSet:
     """The enabled coalition moves whose state lies in ``qs``."""
-    gamma = model.coalition(coalition)
-    idx = model.index(gamma)
-    return MoveSet(model, gamma, idx.moves_of(state_mask(model, qs)))
+    idx = model.index(coalition)
+    return MoveSet(model, idx.gamma, idx.moves_of(state_mask(model, qs)))
 
 
 def post_states(model: Icgs, qs: StateSet) -> StateSet:
@@ -644,8 +625,7 @@ def gamma_closure(model: Icgs, coalition, qs: StateSet) -> StateSet:
     Not idempotent in general: distinct agents contribute distinct
     equivalences, so closing twice can grow the set further.
     """
-    gamma = model.coalition(coalition)
-    idx = model.index(gamma)
+    idx = model.index(coalition)
     return StateSet(model, idx.closure(state_mask(model, qs)))
 
 

@@ -12,19 +12,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import AgentNotInCoalition, CoalitionMismatch, ModelError
-from .icgs import Icgs, Move, MoveSet, StateSet, state_mask
-
-
-def _check_set(model, coalition, ms: MoveSet):
-    if not isinstance(ms, MoveSet):
-        raise TypeError("expected a MoveSet, got %r" % (ms,))
-    if ms.model is not model:
-        raise ModelError("move set belongs to a different model")
-    if ms.coalition != model.coalition(coalition):
-        raise CoalitionMismatch(
-            "move set is over %r, expected %r" % (ms.coalition, tuple(coalition)))
-    return ms
+from .errors import AgentNotInCoalition, CoalitionMismatch
+from .icgs import Icgs, Move, MoveSet, StateSet, move_mask, state_mask
 
 
 def conflicting(model: Icgs, m1: Move, m2: Move) -> bool:
@@ -44,18 +33,16 @@ def conflicting(model: Icgs, m1: Move, m2: Move) -> bool:
 
 def is_conflicting(model: Icgs, ms: MoveSet) -> bool:
     """True iff the set contains two conflicting moves."""
-    ms = _check_set(model, ms.coalition, ms)
-    idx = model.index(ms.coalition)
-    return idx.is_conflicting(ms.mask)
+    mask = move_mask(model, ms.coalition, ms)
+    return model.index(ms.coalition).is_conflicting(mask)
 
 
 def compatible(model: Icgs, candidates: MoveSet, base: MoveSet) -> MoveSet:
     """The candidate moves that conflict with no move of ``base``."""
-    candidates = _check_set(model, candidates.coalition, candidates)
-    base = _check_set(model, candidates.coalition, base)
-    idx = model.index(candidates.coalition)
-    return MoveSet(model, candidates.coalition,
-                   idx.compatible(candidates.mask, base.mask))
+    gamma = candidates.coalition
+    mask = move_mask(model, gamma, candidates)
+    idx = model.index(gamma)
+    return MoveSet(model, gamma, idx.compatible(mask, move_mask(model, gamma, base)))
 
 
 def pre_ce(model: Icgs, coalition, target: StateSet) -> StateSet:
@@ -64,23 +51,21 @@ def pre_ce(model: Icgs, coalition, target: StateSet) -> StateSet:
     Every completion of the action by the remaining agents must land in the
     target, so the empty target has no predecessors.
     """
-    gamma = model.coalition(coalition)
-    idx = model.index(gamma)
+    idx = model.index(coalition)
     return StateSet(model, idx.pre_ce(state_mask(model, target)))
 
 
 def pre_move(model: Icgs, coalition, base: MoveSet) -> MoveSet:
     """The enabled moves whose every completion lands in a state ``base`` covers."""
-    ms = _check_set(model, coalition, base)
-    idx = model.index(ms.coalition)
-    return MoveSet(model, ms.coalition, idx.pre_move(idx.cover(ms.mask)))
+    idx = model.index(coalition)
+    mask = move_mask(model, idx.gamma, base)
+    return MoveSet(model, idx.gamma, idx.pre_move(idx.cover(mask)))
 
 
 def filter_ceu(model: Icgs, coalition, q1: StateSet, q2: StateSet) -> StateSet:
     """States with a general (not necessarily uniform) strategy reaching
     ``q2`` through ``q1``: the least fixpoint of ``Z -> q2 | (q1 & pre(Z))``."""
-    gamma = model.coalition(coalition)
-    idx = model.index(gamma)
+    idx = model.index(coalition)
     return StateSet(model, idx.filter_ceu(state_mask(model, q1),
                                           state_mask(model, q2)))
 
@@ -94,14 +79,13 @@ def split_agent(model: Icgs, agent, coalition, ms: MoveSet,
     agent, or (when not maximal) nothing at all.  The empty set yields the
     single subset ``{}``.  Enumeration order is canonical and deterministic.
     """
-    ms = _check_set(model, coalition, ms)
-    if agent not in ms.coalition:
+    idx = model.index(coalition)
+    mask = move_mask(model, idx.gamma, ms)
+    if agent not in idx.gamma:
         raise AgentNotInCoalition("agent %r is not in coalition %r"
-                                  % (agent, ms.coalition))
-    idx = model.index(ms.coalition)
-    a = ms.coalition.index(agent)
-    for mask in idx.split_agent(a, ms.mask, maximal):
-        yield MoveSet(model, ms.coalition, mask)
+                                  % (agent, idx.gamma))
+    for sub in idx.split_agent(idx.gamma.index(agent), mask, maximal):
+        yield MoveSet(model, idx.gamma, sub)
 
 
 def split_all(model: Icgs, coalition, ms: MoveSet,
@@ -112,10 +96,9 @@ def split_all(model: Icgs, coalition, ms: MoveSet,
     ``maximal`` the stream carries only subsets that cannot be extended by
     any dropped input move without creating a conflict.
     """
-    ms = _check_set(model, coalition, ms)
-    idx = model.index(ms.coalition)
-    for mask in idx.split_all(ms.mask, maximal):
-        yield MoveSet(model, ms.coalition, mask)
+    idx = model.index(coalition)
+    for sub in idx.split_all(move_mask(model, idx.gamma, ms), maximal):
+        yield MoveSet(model, idx.gamma, sub)
 
 
 def split_nonempty(model: Icgs, coalition, ms: MoveSet) -> Iterator[MoveSet]:

@@ -91,6 +91,16 @@ def test_dangling_initial_reported():
     assert "DanglingReference" in kinds
 
 
+def test_labels_on_undeclared_states_are_reported():
+    model = two_state_model()
+    labeled = icgs.Icgs(model.agents, model.states, model.initial, model.actions,
+                        model.protocol, model.transition, model.observation,
+                        {"s0": ["p"], "ghost": ["q"]})
+    assert issues_of(labeled) == [
+        ("DanglingReference", "labels mention unknown state 'ghost'")]
+    assert labeled.atoms == {"p"}
+
+
 def test_require_valid_raises_with_issues():
     model = two_state_model(protocols=(("a", "b"), ("a",)))
     with pytest.raises(ModelError) as err:
@@ -562,6 +572,24 @@ def test_move_set_coalition_mismatch(cardgame):
     dealer = all_moves(cardgame, ["dealer"])
     with pytest.raises(CoalitionMismatch):
         player | dealer
+
+
+def test_any_order_of_a_coalition_shares_its_index():
+    model = modelio.gen_castles(1, 1, 1)  # fresh: its index cache is inspected
+    canonical = model.index(("c1w1", "c2w1"))
+    assert model.index(("c2w1", "c1w1")) is canonical
+    assert model.index(["c2w1", "c1w1"]) is canonical
+    assert sorted(model._indexes) == [("c1w1", "c2w1")]
+
+
+def test_index_of_an_unknown_agent_is_rejected(cardgame):
+    with pytest.raises(UnknownAgent):
+        cardgame.index(("ghost",))
+
+
+def test_move_set_coalition_is_in_model_order(castles111):
+    with pytest.raises(CoalitionMismatch):
+        MoveSet(castles111, ("c2w1", "c1w1"), 0)
 
 
 def test_move_requires_enabled_action(cardgame):
