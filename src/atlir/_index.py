@@ -17,7 +17,11 @@ per joint action.
 
 The predecessor operators run backwards over a reverse index, the moves that
 can reach each state, so a caller whose target only grows pays for the
-states it adds instead of a sweep over every move.
+states it adds instead of a sweep over every move.  ``reach`` is the one
+worklist fixpoint: it grows a state set by the states of the allowed moves
+that surely enter it, examining only the predecessors of what was added.
+``filter_ceu`` is one call of it, over the moves of ``q1``; the search calls
+it once per frame, over the moves the frame's fragment may still add.
 
 Conflicts are masks as well.  Every coalition agent gives each move one
 integer key: the (observation class, action) pair that the move assigns the
@@ -44,6 +48,15 @@ from array import array
 from typing import Iterator
 
 from .errors import DisabledJointAction
+
+# bin() digits to the bytes of a membership table
+_DIGIT_BYTE = bytes.maketrans(b"01", b"\0\1")
+
+
+def _byte_table(mask: int, width: int) -> bytearray:
+    """``width`` bytes, byte ``i`` 1 when bit ``i`` of ``mask`` is set, else 0."""
+    return bytearray(bin(mask)[:1:-1].encode().translate(_DIGIT_BYTE)
+                     .ljust(width, b"\0"))
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -271,35 +284,52 @@ class CoalitionIndex:
         """States with some enabled coalition action surely entering the target."""
         return self.cover(self.pre_move(target_states))
 
-    def filter_ceu(self, q1mask, target, stats=None):
-        """Least fixpoint of ``Z -> target | (q1 & pre_ce(Z))``.
+    def reach(self, allowed, z, frontier):
+        """Grow ``z`` to the least fixpoint of ``Z -> Z | cover(allowed &
+        pre_move(Z))``; return it and the number of worklist rounds.
 
-        The worklist starts from ``target`` and the states of ``q1`` with a
-        move without successors; each round examines only the predecessors
-        of the states the round before added.  ``stats.fixpoint_iterations``
-        counts these rounds.  Every target between ``target`` and the result
-        has the same result, so the search calls it once per query, on the
-        whole until target: every maximal seed covers that target, and every
-        coverage a fragment grows to lies inside the result.
+        Each round examines only the predecessors of ``frontier``, then of
+        the states the round before added, so the caller must already hold
+        in ``z`` the state of every ``allowed`` move all of whose successors
+        lie in ``z & ~frontier``.  Membership in ``allowed`` and in the
+        growing set is read from two tables of one byte per move and per
+        state, built once per call.  This is the engine's one fixpoint loop:
+        :meth:`filter_ceu` and every search frame run it.
         """
-        z = frontier = target | (q1mask & self.stuck_states)
+        table = _byte_table(allowed, len(self.move_state))
+        inside = _byte_table(z, self.n_states)
         succ = self.succ_mask
         pred = self.pred_moves
         move_state = self.move_state
         rounds = 0
         while frontier:
             rounds += 1
-            open_states = q1mask & ~z
             outside = ~z
             gain = 0
             for s in bits(frontier):
                 for m in pred[s]:
-                    bit = 1 << move_state[m]
-                    if open_states & bit and succ[m] & outside == 0:
-                        gain |= bit
-                        open_states ^= bit
+                    if table[m]:
+                        t = move_state[m]
+                        if not inside[t] and succ[m] & outside == 0:
+                            inside[t] = 1
+                            gain |= 1 << t
             z |= gain
             frontier = gain
+        return z, rounds
+
+    def filter_ceu(self, q1mask, target, stats=None):
+        """Least fixpoint of ``Z -> target | (q1 & pre_ce(Z))``.
+
+        The :meth:`reach` of the moves of ``q1`` from ``target`` and the
+        states of ``q1`` with a move without successors.
+        ``stats.fixpoint_iterations`` counts its rounds.  Every target
+        between ``target`` and the result has the same result, so the search
+        calls it once per query, on the whole until target: every maximal
+        seed covers that target, and every coverage a fragment grows to lies
+        inside the result.
+        """
+        z = target | (q1mask & self.stuck_states)
+        z, rounds = self.reach(self.moves_of(q1mask), z, z)
         if stats is not None:
             stats.fixpoint_iterations += rounds
         return z

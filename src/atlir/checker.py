@@ -25,8 +25,12 @@ every maximal seed covers the whole target (protocols agree across an
 observation class, so in a state a seed leaves uncovered each agent could
 take the action its class already uses, or any if the class has none, and
 conflict with nothing), and every state a fragment adds reaches the coverage
-it grew from.  A state is won as soon as the fragment covers its whole
-indistinguishability class.
+it grew from.  That filter ranges over every move of ``q1``, so below a
+seed it never cuts; each search frame with moves to split therefore also
+computes the least fixpoint over only the moves that a uniform extension of
+its fragment may still add, and returns without splitting when no state
+left to decide lies with its whole class inside it.  A state is won as soon
+as the fragment covers its whole indistinguishability class.
 """
 
 from __future__ import annotations
@@ -55,7 +59,9 @@ class CheckStats:
 
     strategies_explored: int = 0
     split_calls: int = 0
-    # worklist rounds of the reach-through fixpoint
+    # search frames that returned unsplit: their not-lose set wins nothing
+    fragments_pruned: int = 0
+    # worklist rounds of the perfect-information filter
     fixpoint_iterations: int = 0
     max_depth: int = 0
 
@@ -179,14 +185,17 @@ def eval_ceu(model: Icgs, interest: StateSet, strategy: MoveSet,
     class, so the fragment itself carries the target (a caller seeds it with
     moves of ``q2`` states).  Since the fragment is arbitrary, the
     perfect-information filter runs on its own coverage, once, before the
-    search grows it.
+    search grows it.  Every frame of that search then prunes with its own
+    not-lose set, as the checker's search does; the prune only skips
+    fragments that can win nothing, so the answer is the same.
 
     ``interest`` must be closed under coalition indistinguishability,
     ``strategy`` conflict-free and disjoint from ``exclude``; violations
     raise :class:`PreconditionViolation` since they indicate a caller bug.
     """
+    smask = move_mask(model, None, strategy)
     gamma = strategy.coalition
-    smask, xmask = move_mask(model, gamma, strategy), move_mask(model, gamma, exclude)
+    xmask = move_mask(model, gamma, exclude)
     imask, q1mask = state_mask(model, interest), state_mask(model, q1)
     state_mask(model, q2)  # unread, but held to the same model
     idx = model.index(gamma)
@@ -286,10 +295,27 @@ def _ceu_search(idx, interest, strategy, moves_q1, exclude, stats):
     The caller has already dropped the states that lose under perfect
     information: ``filter_ceu(q1, T)`` for the whole until target ``T``
     (which every maximal seed covers in a valid model) or for the root's
-    coverage ``cov``.  No frame could prune more: a frame only adds states of
-    ``q1`` with a move surely entering its parent's coverage, so every
-    coverage ``X`` below the root satisfies ``cov <= X <= N`` for
-    ``N = filter_ceu(q1, cov)``, and then ``filter_ceu(q1, X) == N``.
+    coverage ``cov``.  That filter ranges over every move of ``q1``, so it
+    cannot cut below the root.  Each frame with candidate moves therefore
+    also computes its own not-lose set ``N``: the ``idx.reach`` of ``cov``
+    over ``allowed = moves_q1 & ~blocked & ~exclude``, the only moves a
+    uniform extension of its fragment may still add.  The frame returns
+    without splitting when no remaining state of interest has its whole
+    class inside ``N``.
+
+    The prune is sound.  The search only ever adds allowed moves that surely
+    enter the current coverage, and ``blocked`` and ``exclude`` only grow
+    down the tree.  So every coverage in the subtree lies inside ``N``, and
+    the pruned search wins exactly the states that the unpruned one wins.
+
+    The root computes ``N`` from ``cov`` and the states of its allowed moves
+    without successors.  Every frame below it starts from ``cov`` with the
+    frontier ``cov & ~known`` only, and that is exact.  Take an allowed move
+    all of whose successors lie in the parent's coverage ``known``.  It is
+    in ``good & moves_q1``.  Were it still allowed, it would be in the
+    parent's ``strategy``, in its ``exclude``, in ``sub`` or in ``new_moves &
+    ~sub``.  The first and third put its state in ``cov``; the second and
+    fourth make it disallowed.
     """
     won = 0
 
@@ -305,6 +331,16 @@ def _ceu_search(idx, interest, strategy, moves_q1, exclude, stats):
             blocked |= idx.clash(added)
         comp = new_moves & ~blocked
         if comp == 0:
+            return
+        # The not-lose set of every fragment below this frame.
+        allowed = moves_q1 & ~(blocked | exclude)
+        if known:
+            notlose, _ = idx.reach(allowed, cov, cov & ~known)
+        else:
+            z = cov | idx.cover(allowed & idx.stuck_moves)
+            notlose, _ = idx.reach(allowed, z, z)
+        if idx.closed_within(interest & ~won, notlose) == 0:
+            stats.fragments_pruned += 1
             return
         stats.split_calls += 1
         for sub in idx.split_all(comp, False):

@@ -10,12 +10,12 @@ fails, 2 on any error, 3 when ``--oracle`` finds a disagreement between the
 checker and the exhaustive oracle.
 
 Each ``--json`` result carries the search statistics of its check
-(``stats``: strategies explored, split calls, fixpoint iterations, maximum
-depth), all zero but the fixpoint count when the perfect-information filter
-alone decided the query.  The report's ``timings`` are ``load_s`` (load or
-generate the model), ``index_s`` (build the index of every coalition the
-formulas name) and ``check_s`` (parse and check the formulas, with the
-oracle if asked).
+(``stats``: strategies explored, split calls, fragments pruned, fixpoint
+iterations, maximum depth), all zero but the fixpoint count when the
+perfect-information filter alone decided the query.  The report's
+``timings`` are ``load_s`` (load or generate the model), ``index_s`` (build
+the index of every coalition the formulas name) and ``check_s`` (parse and
+check the formulas, with the oracle if asked).
 """
 
 from __future__ import annotations

@@ -486,15 +486,16 @@ class MoveSet:
         return "MoveSet[%s]{%s}" % (",".join(self.coalition), body)
 
 
-def move_mask(model: Icgs, gamma: tuple, ms: MoveSet) -> int:
+def move_mask(model: Icgs, gamma, ms: MoveSet) -> int:
     """The mask of ``ms``, which must be a move set of ``model`` over the
-    model-order coalition ``gamma``.  Every public operator that takes a move
-    set checks it here, as :func:`state_mask` does for state sets."""
+    model-order coalition ``gamma`` (``None``: over any coalition).  Every
+    public operator that takes a move set checks it here, as
+    :func:`state_mask` does for state sets, before it reads the set."""
     if not isinstance(ms, MoveSet):
         raise TypeError("expected a MoveSet, got %r" % (ms,))
     if ms.model is not model:
         raise ModelError("move set belongs to a different model")
-    if ms.coalition != gamma:
+    if gamma is not None and ms.coalition != gamma:
         raise CoalitionMismatch(
             "move set is over %r, expected %r" % (ms.coalition, gamma))
     return ms.mask

@@ -33,14 +33,14 @@ def conflicting(model: Icgs, m1: Move, m2: Move) -> bool:
 
 def is_conflicting(model: Icgs, ms: MoveSet) -> bool:
     """True iff the set contains two conflicting moves."""
-    mask = move_mask(model, ms.coalition, ms)
+    mask = move_mask(model, None, ms)
     return model.index(ms.coalition).is_conflicting(mask)
 
 
 def compatible(model: Icgs, candidates: MoveSet, base: MoveSet) -> MoveSet:
     """The candidate moves that conflict with no move of ``base``."""
+    mask = move_mask(model, None, candidates)
     gamma = candidates.coalition
-    mask = move_mask(model, gamma, candidates)
     idx = model.index(gamma)
     return MoveSet(model, gamma, idx.compatible(mask, move_mask(model, gamma, base)))
 

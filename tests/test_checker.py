@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import atlir.checker
 from atlir.checker import EvalCache, check, eval_ceu, evaluate
 from atlir.errors import (
     FormulaError,
@@ -29,7 +30,7 @@ from atlir.modelio import gen_cardgame, gen_castles
 from atlir.moveops import filter_ceu, pre_ce, split_max
 from atlir.oracle import oracle_eval, perfect_info_eval
 
-from corpus import make_model, random_formula, random_model
+from corpus import make_model, random_formula, random_model, random_move_set
 
 
 # -- Boolean cases ------------------------------------------------------------
@@ -431,10 +432,10 @@ def test_check_with_initial_query_matches_full_verdict():
 # keeps each row self-contained.
 SEARCH_ORDER = [
     ((1, 1, 1), "<<c1w1,c2w1>> F castle3_defeated", True, (5, 5, 7, 5)),
-    ((1, 1, 1), "<<c1w1,c2w1>> F all_defeated", False, (1387, 324, 6, 7)),
+    ((1, 1, 1), "<<c1w1,c2w1>> F all_defeated", False, (11, 3, 6, 3)),
     ((1, 1, 2), "<<c1w1,c2w1>> F castle3_defeated", True, (37, 5, 5, 5)),
     ((1, 1, 2), "<<c1w1,c2w1>> F all_defeated", False, (0, 0, 6, 0)),
-    ((1, 2, 2), "<<c1w1,c2w1,c2w2>> F castle3_defeated", True, (495, 29, 5, 7)),
+    ((1, 2, 2), "<<c1w1,c2w1,c2w2>> F castle3_defeated", True, (35, 3, 5, 3)),
     ((1, 1, 3), "<<c1w1,c2w1>> F castle3_defeated", False, (0, 0, 3, 0)),
 ]
 
@@ -447,3 +448,114 @@ def test_castles_search_order_is_pinned(counts, text, holds, expected):
     assert result.holds == holds
     assert (s.strategies_explored, s.split_calls, s.fixpoint_iterations,
             s.max_depth) == expected
+
+
+# -- the per-fragment prune against the unpruned search ------------------------
+
+def ref_ceu_search(idx, interest, strategy, moves_q1, exclude, stats):
+    """The search without the per-fragment prune: every frame with candidate
+    moves splits them.  Same arguments and result as ``_ceu_search``."""
+    won = 0
+
+    def grow(strategy, exclude, cov, added, known, good, blocked):
+        nonlocal won
+        won |= idx.closed_within(interest & ~won, cov)
+        if interest & ~won == 0:
+            return
+        good = idx.pre_move(cov, known, good)
+        new_moves = good & moves_q1 & ~strategy & ~exclude
+        if new_moves:
+            blocked |= idx.clash(added)
+        comp = new_moves & ~blocked
+        if comp == 0:
+            return
+        stats.split_calls += 1
+        for sub in idx.split_all(comp, False):
+            if sub == 0:
+                continue
+            stats.strategies_explored += 1
+            yield grow(strategy | sub, exclude | (new_moves & ~sub),
+                       cov | idx.cover(sub), sub, cov, good, blocked)
+            if interest & ~won == 0:
+                return
+
+    stack = [grow(strategy, exclude, idx.cover(strategy), strategy, 0, 0, 0)]
+    while stack:
+        stats.max_depth = max(stats.max_depth, len(stack))
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(child)
+    return won
+
+
+@pytest.fixture
+def unpruned(monkeypatch):
+    """Run a thunk with the checker's search swapped for the reference."""
+    def run(thunk):
+        with monkeypatch.context() as patch:
+            patch.setattr(atlir.checker, "_ceu_search", ref_ceu_search)
+            return thunk()
+    return run
+
+
+def test_pruned_search_agrees_with_the_unpruned_one_on_the_corpus(unpruned):
+    rng = random.Random(167)
+    pruned = explored = reference_explored = 0
+    for _ in range(40):
+        model = random_model(rng, max_states=7)
+        for _ in range(6):
+            f = random_formula(rng, model, depth=2)
+            got = check(model, f)
+            expected = unpruned(lambda: check(model, f))
+            assert got.sat == expected.sat, f
+            assert got.stats.strategies_explored <= expected.stats.strategies_explored
+            assert got.stats.fixpoint_iterations == expected.stats.fixpoint_iterations
+            pruned += got.stats.fragments_pruned
+            explored += got.stats.strategies_explored
+            reference_explored += expected.stats.strategies_explored
+    # pinned like SEARCH_ORDER: a weaker prune explores more fragments
+    assert (explored, pruned, reference_explored) == (473, 10, 490)
+
+
+@pytest.mark.parametrize("counts", [(1, 1, 1), (1, 1, 2)])
+@pytest.mark.parametrize("goal", ["castle3_defeated", "all_defeated"])
+def test_pruned_search_agrees_with_the_unpruned_one_on_castles(counts, goal, unpruned):
+    model = gen_castles(*counts)
+    text = "<<c1w1,c2w1>> F " + goal
+    init = model.state_set(model.initial)
+    got = check(model, text, query=init)
+    expected = unpruned(lambda: check(model, text, query=init))
+    assert (got.holds, got.sat) == (expected.holds, expected.sat)
+
+
+def test_eval_ceu_prunes_without_changing_its_answer(unpruned, monkeypatch):
+    searched = []  # the stats of every search eval_ceu runs
+    ceu_search = atlir.checker._ceu_search
+
+    def search(idx, interest, strategy, moves_q1, exclude, stats):
+        searched.append(stats)
+        return ceu_search(idx, interest, strategy, moves_q1, exclude, stats)
+    monkeypatch.setattr(atlir.checker, "_ceu_search", search)
+    rng = random.Random(173)
+    done = 0
+    while done < 150:
+        model = random_model(rng, max_states=7)
+        gamma = model.coalition(rng.sample(model.agents,
+                                           rng.randint(1, min(2, len(model.agents)))))
+        strategy = rng.choice(list(split_max(model, gamma, random_move_set(
+            rng, model, gamma, rng.choice((0.1, 0.3, 0.6))))))
+        spare = all_moves(model, gamma) - strategy
+        exclude = MoveSet.of(model, gamma,
+                             [mv for mv in spare if rng.random() < 0.2])
+        q1 = model.state_set(q for q in model.states if rng.random() < 0.8)
+        q2 = model.state_set(q for q in model.states if rng.random() < 0.3)
+        interest = model.state_set(q for q in model.states if rng.random() < 0.6)
+        while gamma_closure(model, gamma, interest) != interest:
+            interest = gamma_closure(model, gamma, interest)
+        got = eval_ceu(model, interest, strategy, q1, q2, exclude)
+        assert got == unpruned(
+            lambda: eval_ceu(model, interest, strategy, q1, q2, exclude))
+        done += 1
+    assert sum(stats.fragments_pruned for stats in searched) > 0

@@ -52,6 +52,7 @@ def test_json_report_schema_and_determinism(capsys):
     assert entry["sat_count"] == len(entry["sat"]) == 3
     assert entry["sat"] == ["show_AK", "show_KQ", "show_QA"]
     assert entry["stats"] == {"strategies_explored": 27, "split_calls": 2,
+                              "fragments_pruned": 0,
                               "fixpoint_iterations": 3, "max_depth": 2}
     assert "timings" in report
     _, out2, _ = run(capsys, "check", "--gen", "cardgame", "--json",

@@ -34,7 +34,14 @@ from atlir.icgs import (
     validate,
     with_perfect_information,
 )
-from atlir.moveops import compatible, filter_ceu, is_conflicting, pre_ce
+from atlir.moveops import (
+    compatible,
+    filter_ceu,
+    is_conflicting,
+    pre_ce,
+    pre_move,
+    split_all,
+)
 from atlir.oracle import enumerate_uniform, strategy_sat_u
 
 from corpus import make_model, random_model
@@ -646,3 +653,25 @@ def test_sets_of_another_model_are_rejected(entry, cardgame, castles111):
     with pytest.raises(ModelError):
         FOREIGN_CALLS[entry](cardgame, castles111.all_states(),
                              all_moves(castles111, ["c1w1"]))
+
+
+# Every public entry that takes a move set, called with the int 5 in its
+# place: the type is checked before anything is read off the argument.
+NON_SET_CALLS = {
+    "is_conflicting": lambda m: is_conflicting(m, 5),
+    "compatible-candidates": lambda m: compatible(m, 5, _fragment(m)),
+    "compatible-base": lambda m: compatible(m, _fragment(m), 5),
+    "eval_ceu-strategy": lambda m: eval_ceu(
+        m, m.all_states(), 5, m.all_states(), m.labeled("win"), _fragment(m)),
+    "eval_ceu-exclude": lambda m: eval_ceu(
+        m, m.all_states(), _fragment(m), m.all_states(), m.labeled("win"), 5),
+    "pre_move": lambda m: pre_move(m, ["player"], 5),
+    "split_all": lambda m: next(split_all(m, ["player"], 5, True)),
+    "union": lambda m: _fragment(m) | 5,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NON_SET_CALLS))
+def test_a_non_set_is_rejected_with_a_type_error(entry, cardgame):
+    with pytest.raises(TypeError, match="expected a MoveSet"):
+        NON_SET_CALLS[entry](cardgame)

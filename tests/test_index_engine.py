@@ -1,11 +1,11 @@
 """The index's mask engine against plain sweeps and per-move definitions.
 
-The index answers ``pre_move``, ``pre_ce``, ``filter_ceu`` and ``moves_of``
-backwards over a reverse index and incrementally along growing targets, and
-every conflict question through the one mask operator ``clash``.  The
-references below are the direct definitions, each a sweep over all moves or
-states or a per-agent table rebuilt from the moves of a mask, kept here so
-that every shortcut is held to them.
+The index answers ``pre_move``, ``pre_ce``, ``reach``, ``filter_ceu`` and
+``moves_of`` backwards over a reverse index and incrementally along growing
+targets, and every conflict question through the one mask operator
+``clash``.  The references below are the direct definitions, each a sweep
+over all moves or states or a per-agent table rebuilt from the moves of a
+mask, kept here so that every shortcut is held to them.
 """
 
 import itertools
@@ -16,9 +16,10 @@ import pytest
 
 from atlir import modelio
 from atlir._index import CoalitionIndex
+from atlir.checker import check
 from atlir.icgs import Icgs, bits
 
-from corpus import make_model, random_model
+from corpus import make_model, random_formula, random_model
 
 
 def ref_moves_of(idx, qmask):
@@ -52,6 +53,22 @@ def ref_filter_ceu(idx, q1, q2):
         if nz == z:
             return z
         z = nz
+
+
+def ref_reach(idx, allowed, z):
+    """Grow ``z`` by the state of every allowed move all of whose successors
+    lie in it, sweeping every move each round, until nothing is added.
+    Return the fixpoint and the number of sweeps that added a state."""
+    growing = 0
+    while True:
+        grown = z
+        for m, succ in enumerate(idx.succ_mask):
+            if allowed >> m & 1 and succ & ~z == 0:
+                grown |= 1 << idx.move_state[m]
+        if grown == z:
+            return z, growing
+        z = grown
+        growing += 1
 
 
 def ref_token(idx, a, m):
@@ -332,6 +349,48 @@ def test_filter_ceu_from_a_closed_floor(label, idx):
             between = small | (fixpoint & random_mask(rng, n, rng.choice((0.1, 0.5))))
             assert ref_filter_ceu(idx, q1, between) == fixpoint, label
         assert ref_filter_ceu(idx, q1, fixpoint) == fixpoint, label
+
+
+def test_reach_from_a_frames_new_coverage_is_the_fixpoint_from_scratch(monkeypatch):
+    """A search frame below the root grows its coverage ``cov`` only from
+    ``cov & ~known``, the states its own moves added: every allowed move all
+    of whose successors lie in the parent's coverage ``known`` is either
+    excluded, blocked or already covered.  Every recorded call, from the
+    search and from ``filter_ceu``, is held to the sweep from ``z``."""
+    rng = random.Random(223)
+    models = [random_model(rng, max_states=7) for _ in range(40)]
+    formulas = [[random_formula(rng, model, depth=2) for _ in range(5)]
+                for model in models]
+    castles = modelio.gen_castles(1, 1, 1)
+    calls = []  # (index, allowed, z, frontier, (fixpoint, rounds))
+    reach = CoalitionIndex.reach
+
+    def recording(idx, allowed, z, frontier):
+        answer = reach(idx, allowed, z, frontier)
+        calls.append((idx, allowed, z, frontier, answer))
+        return answer
+    monkeypatch.setattr(CoalitionIndex, "reach", recording)
+    for model, fs in zip(models, formulas):
+        for f in fs:
+            check(model, f)
+    for goal in ("castle3_defeated", "all_defeated"):
+        check(castles, "<<c1w1,c2w1>> F " + goal,
+              query=castles.state_set(castles.initial))
+    # u wins only through its move without successor
+    check(make_model(["g"], ["u", "v", "t"],
+                     {"g": {"u": ["a", "b"], "v": ["a"], "t": ["a"]}},
+                     {("u", ("a",)): "v", ("v", ("a",)): "v", ("t", ("a",)): "t"},
+                     {"g": {"u": "u", "v": "v", "t": "t"}}, {"t": ["p"]}),
+          "<<g>> F p")
+
+    incremental = 0
+    for idx, allowed, z, frontier, (fixpoint, rounds) in calls:
+        expected, growing = ref_reach(idx, allowed, z)
+        assert fixpoint == expected
+        # one round per sweep that added states, and a last that adds none
+        assert rounds == (growing + 1 if frontier else 0)
+        incremental += frontier != z
+    assert incremental > 50
 
 
 def stuck_model():
