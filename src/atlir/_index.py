@@ -258,27 +258,23 @@ class CoalitionIndex:
             buf[m >> 3] |= 1 << (m & 7)
         return int.from_bytes(buf, "little")
 
-    def pre_move(self, target_states, known=0, known_moves=0):
+    def pre_move(self, target_states, known=0):
         """Moves all of whose completions land in ``target_states``.
 
-        ``known`` is an optional subset of the target whose answer
-        ``known_moves == pre_move(known)`` the caller already holds, e.g.
-        from the target it grew from.  A move that surely enters the target
-        but not ``known`` has a successor among the added states, so only
-        their predecessors are examined.  With ``known == 0`` the answer
-        starts from the moves without any successor, which belong to the
-        answer for every target.
+        With ``known == 0`` the answer includes the moves without any
+        successor, which belong to the answer for every target.  A non-empty
+        ``known``, e.g. the target a caller's target grew from, asks only
+        for what the target adds: ``pre_move(target) & ~pre_move(known)``,
+        the moves with a successor among the added states, so only their
+        predecessors are examined.
         """
-        if not known:
-            known_moves = self.stuck_moves
         outside = ~target_states
         succ = self.succ_mask
         pred = self.pred_moves
         found = [m for s in bits(target_states & ~known) for m in pred[s]
                  if succ[m] & outside == 0]
-        if not found:
-            return known_moves
-        return known_moves | self._mask(found)
+        out = 0 if known else self.stuck_moves
+        return out | self._mask(found) if found else out
 
     def pre_ce(self, target_states):
         """States with some enabled coalition action surely entering the target."""

@@ -35,7 +35,7 @@ as the fragment covers its whole indistinguishability class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 from .errors import ModelError, PreconditionViolation, UnsupportedOperator
@@ -100,7 +100,8 @@ class Walk:
     ``f``.  ``full(f)`` is its satisfying mask over all states, kept in
     ``memo`` (normalized sub-formula -> mask), so each distinct sub-formula
     under a negation or a strategic operator is evaluated over all states
-    once.  The strategic nodes go to ``solve(walk, f, within)``.
+    once.  The strategic nodes go to ``solve(walk, f, idx, within)``, with
+    ``idx`` the index of the node's coalition, resolved here and nowhere else.
     """
 
     __slots__ = ("model", "solve", "memo")
@@ -127,12 +128,9 @@ class Walk:
             return self.sat(f.left, within) | self.sat(f.right, within)
         if isinstance(f, (CanNext, CanUntil)):
             # hand-built nodes may name unknown, no or unordered agents
-            gamma = self.model.coalition(f.coalition)
-            if not gamma:
+            if not f.coalition:
                 raise UnsupportedOperator("empty coalition in a strategic operator")
-            if gamma != f.coalition:
-                f = replace(f, coalition=gamma)
-            return self.solve(self, f, within)
+            return self.solve(self, f, self.model.index(f.coalition), within)
         raise UnsupportedOperator("the evaluator cannot handle %r" % (f,))
 
 
@@ -227,10 +225,9 @@ def _walk(model, cache, stats):
     return Walk(model, partial(_search, stats), cache.masks)
 
 
-def _search(stats, walk, f, qmask):
+def _search(stats, walk, f, idx, qmask):
     """Split the seed moves into maximal conflict-free subsets and grow each
     subset until the states of interest are decided."""
-    idx = walk.model.index(f.coalition)
     interest = idx.closure(qmask)
     if isinstance(f, CanNext):
         # Evaluate the operand on the successors of everything any coalition
@@ -275,70 +272,64 @@ def _search(stats, walk, f, qmask):
 def _ceu_search(idx, interest, strategy, moves_q1, exclude, stats):
     """Backtracking growth of one conflict-free strategy fragment.
 
-    Each search frame is one generator, ``grow``.  Its locals are the
-    fragment ``strategy``, the moves set aside ``exclude``, the fragment's
-    coverage ``cov``, the moves the frame adds ``added``, the ``pre_move``
-    answer ``good`` and ``blocked``, the moves that conflict with the
-    fragment.  A frame's body runs only once the driver first advances it.
-    It seeds an incremental ``pre_move`` with its parent's coverage
-    (``known``) and answer, and adds the clash of ``added`` to its parent's
-    ``blocked`` only when it has candidate moves to filter.  It yields one
-    child frame per non-empty conflict-free extension and returns once every
-    state of interest is won.
-
-    The driver keeps the frames on an explicit stack, not the interpreter's:
-    the depth is bounded by the number of coalition moves, which can exceed
-    the recursion limit.  ``won`` accumulates across the whole tree, and a
-    frame stops as soon as its descendants have won every state of interest.
-    ``moves_q1`` is ``idx.moves_of(q1)``.
+    Each search frame is one generator, ``grow``, whose body runs once the
+    driver first advances it.  Its locals are the fragment ``strategy``, the
+    moves set aside ``exclude``, the fragment's coverage ``cov``, the moves
+    the frame adds ``added``, its parent's coverage ``known`` and
+    ``blocked``, the moves that conflict with the fragment (the clash of
+    ``added`` joins it only in a frame with moves to filter).  The frame's
+    candidates ``comp`` are the allowed moves that surely enter ``cov`` from
+    outside it; it yields one child per non-empty conflict-free extension by
+    them and returns once every state of interest is won.  The driver keeps
+    the frames on an explicit stack: the depth, bounded by the number of
+    coalition moves, can exceed the recursion limit.  ``won`` accumulates
+    across the whole tree.  ``moves_q1`` is ``idx.moves_of(q1)``.
 
     The caller has already dropped the states that lose under perfect
     information: ``filter_ceu(q1, T)`` for the whole until target ``T``
     (which every maximal seed covers in a valid model) or for the root's
-    coverage ``cov``.  That filter ranges over every move of ``q1``, so it
-    cannot cut below the root.  Each frame with candidate moves therefore
-    also computes its own not-lose set ``N``: the ``idx.reach`` of ``cov``
-    over ``allowed = moves_q1 & ~blocked & ~exclude``, the only moves a
-    uniform extension of its fragment may still add.  The frame returns
-    without splitting when no remaining state of interest has its whole
-    class inside ``N``.
+    coverage.  That filter ranges over every move of ``q1``, so it cannot
+    cut below the root.  Each frame with candidates therefore also computes
+    its own not-lose set ``N``, the ``idx.reach`` of ``cov`` over ``allowed
+    = moves_q1 & ~blocked & ~exclude``, the only moves a uniform extension
+    of its fragment may still add, and returns unsplit when no remaining
+    state of interest has its whole class inside ``N``.  The prune is sound:
+    the search only adds allowed moves that surely enter the current
+    coverage, and ``blocked`` and ``exclude`` only grow down the tree, so
+    every coverage in the subtree lies inside ``N``.
 
-    The prune is sound.  The search only ever adds allowed moves that surely
-    enter the current coverage, and ``blocked`` and ``exclude`` only grow
-    down the tree.  So every coverage in the subtree lies inside ``N``, and
-    the pruned search wins exactly the states that the unpruned one wins.
+    The states of ``comp`` are the first round of ``N``, so ``reach`` starts
+    with them as its frontier.  That is exact, in three steps:
 
-    The root computes ``N`` from ``cov`` and the states of its allowed moves
-    without successors.  Every frame below it starts from ``cov`` with the
-    frontier ``cov & ~known`` only, and that is exact.  Take an allowed move
-    all of whose successors lie in the parent's coverage ``known``.  It is
-    in ``good & moves_q1``.  Were it still allowed, it would be in the
-    parent's ``strategy``, in its ``exclude``, in ``sub`` or in ``new_moves &
-    ~sub``.  The first and third put its state in ``cov``; the second and
-    fourth make it disallowed.
+    1. Every move of ``moves_q1`` that surely enters ``known`` is in this
+       frame's ``strategy`` or ``exclude``: the parent split its candidates
+       into ``sub``, added, and the rest, set aside.  So only a move with a
+       successor in ``cov & ~known`` can be new.  At the root ``known == 0``
+       and ``pre_move`` returns its whole answer, stuck moves included.
+    2. ``comp`` misses no state outside ``cov``: a move at a covered state
+       that is not in the fragment conflicts with the fragment's move there,
+       so it is ``blocked``.  Hence ``comp`` holds exactly the allowed moves
+       that surely enter ``cov`` and whose state lies outside it.
+    3. ``reach``'s precondition holds: every allowed move all of whose
+       successors lie in ``z & ~frontier == cov`` has its state in ``z``.
     """
     won = 0
 
-    def grow(strategy, exclude, cov, added, known, good, blocked):
+    def grow(strategy, exclude, cov, added, known, blocked):
         nonlocal won
         # Won: the whole class is covered by the fragment.
         won |= idx.closed_within(interest & ~won, cov)
         if interest & ~won == 0:
             return
-        good = idx.pre_move(cov, known, good)
-        new_moves = good & moves_q1 & ~strategy & ~exclude
+        new_moves = idx.pre_move(cov, known) & moves_q1 & ~strategy & ~exclude
         if new_moves:
             blocked |= idx.clash(added)
         comp = new_moves & ~blocked
         if comp == 0:
             return
         # The not-lose set of every fragment below this frame.
-        allowed = moves_q1 & ~(blocked | exclude)
-        if known:
-            notlose, _ = idx.reach(allowed, cov, cov & ~known)
-        else:
-            z = cov | idx.cover(allowed & idx.stuck_moves)
-            notlose, _ = idx.reach(allowed, z, z)
+        fresh = idx.cover(comp)
+        notlose, _ = idx.reach(moves_q1 & ~(blocked | exclude), cov | fresh, fresh)
         if idx.closed_within(interest & ~won, notlose) == 0:
             stats.fragments_pruned += 1
             return
@@ -348,11 +339,11 @@ def _ceu_search(idx, interest, strategy, moves_q1, exclude, stats):
                 continue
             stats.strategies_explored += 1
             yield grow(strategy | sub, exclude | (new_moves & ~sub),
-                       cov | idx.cover(sub), sub, cov, good, blocked)
+                       cov | idx.cover(sub), sub, cov, blocked)
             if interest & ~won == 0:
                 return
 
-    stack = [grow(strategy, exclude, idx.cover(strategy), strategy, 0, 0, 0)]
+    stack = [grow(strategy, exclude, idx.cover(strategy), strategy, 0, 0)]
     while stack:
         if len(stack) > stats.max_depth:
             stats.max_depth = len(stack)

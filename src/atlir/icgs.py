@@ -250,8 +250,12 @@ class Icgs:
             raise UnknownState("unknown state %r" % (state,)) from None
 
     def coalition(self, agents) -> tuple:
-        """Canonicalise a group of agents to model order, rejecting unknowns."""
-        group = set(agents)
+        """Canonicalise a group of agents to model order.  The first unknown
+        agent in the order given is reported; a bare string is no group."""
+        if isinstance(agents, str):
+            raise TypeError("a coalition is a collection of agent names, not the string %r"
+                            % (agents,))
+        group = dict.fromkeys(agents)
         for ag in group:
             if ag not in self._agent_pos:
                 raise UnknownAgent("unknown agent %r" % (ag,))

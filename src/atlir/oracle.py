@@ -42,7 +42,7 @@ class UniformStrategy:
     """
 
     coalition: tuple
-    assignment: tuple  # per agent: tuple of (token, action), sorted by token
+    assignment: tuple  # per agent: tuple of (token, action), sorted by token, None first
 
     def action_table(self):
         return tuple(dict(per_agent) for per_agent in self.assignment)
@@ -55,7 +55,7 @@ class UniformStrategy:
         """The coalition's actions in ``state``, read from ``action_table()``."""
         picks = []
         for ag, table in zip(self.coalition, tables):
-            token = model.observation[ag].get(state)
+            token = model.observation.get(ag, {}).get(state)
             if token not in table:
                 raise IncompleteStrategy(
                     "strategy has no choice for agent %r in state %r" % (ag, state))
@@ -74,12 +74,15 @@ def count_uniform(model: Icgs, coalition) -> int:
 
 
 def _classes(model, agent):
-    """(token, enabled actions) per observation class, sorted by token."""
-    obs = model.observation[agent]
+    """(token, enabled actions) per observation class, sorted by token.  The
+    states the agent does not observe, token ``None``, are one class, first."""
+    obs = model.observation.get(agent, {})
+    protocol = model.protocol.get(agent, {})
     reps = {}
     for q in model.states:
-        reps.setdefault(obs[q], q)
-    return [(tok, model.protocol[agent][reps[tok]]) for tok in sorted(reps)]
+        reps.setdefault(obs.get(q), q)
+    return [(tok, protocol.get(reps[tok], ()))
+            for tok in sorted(reps, key=lambda tok: (tok is not None, tok))]
 
 
 def enumerate_uniform(model: Icgs, coalition, cap: int = DEFAULT_CAP):
@@ -142,9 +145,8 @@ def oracle_eval(model: Icgs, f, cap: int = DEFAULT_CAP) -> StateSet:
     return StateSet(model, walk.sat(normalize(f), model._all_mask))
 
 
-def _enumerate(cap, walk, f, within):
+def _enumerate(cap, walk, f, idx, within):
     model = walk.model
-    idx = model.index(f.coalition)
     full = model._all_mask
     if isinstance(f, CanNext):
         target = walk.full(f.sub)
@@ -163,7 +165,7 @@ def _enumerate(cap, walk, f, within):
         def winning(strategy):
             return strategy_sat_u(model, strategy, q1, q2).mask
     sat = 0
-    for strategy in enumerate_uniform(model, f.coalition, cap):
+    for strategy in enumerate_uniform(model, idx.gamma, cap):
         sat |= idx.closed_within(full & ~sat, winning(strategy))
         if sat == full:
             break
@@ -177,8 +179,7 @@ def perfect_info_eval(model: Icgs, f) -> StateSet:
     return StateSet(model, walk.sat(normalize(f), model._all_mask))
 
 
-def _fixpoints(walk, f, within):
-    idx = walk.model.index(f.coalition)
+def _fixpoints(walk, f, idx, within):
     if isinstance(f, CanNext):
         return within & idx.pre_ce(walk.full(f.sub))
     return within & idx.filter_ceu(walk.full(f.lhs), walk.full(f.rhs))

@@ -423,20 +423,20 @@ def test_check_with_initial_query_matches_full_verdict():
 
 # The search visits the same fragments in the same order whatever the
 # predecessor engine costs.  Counts: strategies explored, split calls,
-# fixpoint iterations, depth.  A change of the predecessor engine must not move
-# them; a change of the pruning may, and re-pins them.  The fixpoint count pins
-# the rounds of the delta worklist, run once per query; that filter alone
-# decides the FAILS rows of 1,1,2 and 1,1,3, before any seed is split.  Each
-# case builds its own model, as ``atlir check`` does.  Counters do not depend
-# on what ran on a model before (see the history test above), so this only
-# keeps each row self-contained.
+# fragments pruned, fixpoint iterations, depth.  A change of the predecessor
+# engine must not move them; a change of the pruning may, and re-pins them.
+# The fixpoint count pins the rounds of the delta worklist, run once per
+# query; that filter alone decides the FAILS rows of 1,1,2 and 1,1,3, before
+# any seed is split.  Each case builds its own model, as ``atlir check`` does.
+# Counters do not depend on what ran on a model before (see the history test
+# above), so this only keeps each row self-contained.
 SEARCH_ORDER = [
-    ((1, 1, 1), "<<c1w1,c2w1>> F castle3_defeated", True, (5, 5, 7, 5)),
-    ((1, 1, 1), "<<c1w1,c2w1>> F all_defeated", False, (11, 3, 6, 3)),
-    ((1, 1, 2), "<<c1w1,c2w1>> F castle3_defeated", True, (37, 5, 5, 5)),
-    ((1, 1, 2), "<<c1w1,c2w1>> F all_defeated", False, (0, 0, 6, 0)),
-    ((1, 2, 2), "<<c1w1,c2w1,c2w2>> F castle3_defeated", True, (35, 3, 5, 3)),
-    ((1, 1, 3), "<<c1w1,c2w1>> F castle3_defeated", False, (0, 0, 3, 0)),
+    ((1, 1, 1), "<<c1w1,c2w1>> F castle3_defeated", True, (5, 5, 0, 7, 5)),
+    ((1, 1, 1), "<<c1w1,c2w1>> F all_defeated", False, (11, 3, 9, 6, 3)),
+    ((1, 1, 2), "<<c1w1,c2w1>> F castle3_defeated", True, (37, 5, 0, 5, 5)),
+    ((1, 1, 2), "<<c1w1,c2w1>> F all_defeated", False, (0, 0, 0, 6, 0)),
+    ((1, 2, 2), "<<c1w1,c2w1,c2w2>> F castle3_defeated", True, (35, 3, 6, 5, 3)),
+    ((1, 1, 3), "<<c1w1,c2w1>> F castle3_defeated", False, (0, 0, 0, 3, 0)),
 ]
 
 
@@ -446,24 +446,25 @@ def test_castles_search_order_is_pinned(counts, text, holds, expected):
     result = check(model, text, query=model.state_set(model.initial))
     s = result.stats
     assert result.holds == holds
-    assert (s.strategies_explored, s.split_calls, s.fixpoint_iterations,
-            s.max_depth) == expected
+    assert (s.strategies_explored, s.split_calls, s.fragments_pruned,
+            s.fixpoint_iterations, s.max_depth) == expected
 
 
 # -- the per-fragment prune against the unpruned search ------------------------
 
 def ref_ceu_search(idx, interest, strategy, moves_q1, exclude, stats):
     """The search without the per-fragment prune: every frame with candidate
-    moves splits them.  Same arguments and result as ``_ceu_search``."""
+    moves splits them.  Same arguments and result as ``_ceu_search``, but
+    every frame computes ``pre_move`` of its coverage from scratch, so the
+    reference shares no incremental protocol with the search."""
     won = 0
 
-    def grow(strategy, exclude, cov, added, known, good, blocked):
+    def grow(strategy, exclude, cov, added, blocked):
         nonlocal won
         won |= idx.closed_within(interest & ~won, cov)
         if interest & ~won == 0:
             return
-        good = idx.pre_move(cov, known, good)
-        new_moves = good & moves_q1 & ~strategy & ~exclude
+        new_moves = idx.pre_move(cov) & moves_q1 & ~strategy & ~exclude
         if new_moves:
             blocked |= idx.clash(added)
         comp = new_moves & ~blocked
@@ -475,11 +476,11 @@ def ref_ceu_search(idx, interest, strategy, moves_q1, exclude, stats):
                 continue
             stats.strategies_explored += 1
             yield grow(strategy | sub, exclude | (new_moves & ~sub),
-                       cov | idx.cover(sub), sub, cov, good, blocked)
+                       cov | idx.cover(sub), sub, blocked)
             if interest & ~won == 0:
                 return
 
-    stack = [grow(strategy, exclude, idx.cover(strategy), strategy, 0, 0, 0)]
+    stack = [grow(strategy, exclude, idx.cover(strategy), strategy, 0)]
     while stack:
         stats.max_depth = max(stats.max_depth, len(stack))
         child = next(stack[-1], None)

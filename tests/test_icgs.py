@@ -594,6 +594,20 @@ def test_index_of_an_unknown_agent_is_rejected(cardgame):
         cardgame.index(("ghost",))
 
 
+def test_coalition_reports_the_first_unknown_agent_given(cardgame):
+    # not whichever a set yields first, which varies with the hash seed
+    ghosts = ["ghost%d" % i for i in range(20)]
+    with pytest.raises(UnknownAgent, match="'ghost0'"):
+        cardgame.coalition(ghosts)
+    with pytest.raises(UnknownAgent, match="'ghost0'"):
+        cardgame.index(["player"] + ghosts)
+    # a bare string would be split into one-letter agent names
+    with pytest.raises(TypeError, match="'player'"):
+        cardgame.coalition("player")
+    with pytest.raises(TypeError, match="'player'"):
+        cardgame.index("player")
+
+
 def test_move_set_coalition_is_in_model_order(castles111):
     with pytest.raises(CoalitionMismatch):
         MoveSet(castles111, ("c2w1", "c1w1"), 0)

@@ -10,14 +10,15 @@ mask, kept here so that every shortcut is held to them.
 
 import itertools
 import random
+import sys
 from array import array
 
 import pytest
 
 from atlir import modelio
 from atlir._index import CoalitionIndex
-from atlir.checker import check
-from atlir.icgs import Icgs, bits
+from atlir.checker import check, eval_ceu
+from atlir.icgs import Icgs, MoveSet, StateSet, bits
 
 from corpus import make_model, random_formula, random_model
 
@@ -312,12 +313,13 @@ def test_incremental_pre_move_along_growing_targets(label, idx):
     n = idx.n_states
     for _ in range(6):
         target = random_mask(rng, n, rng.choice((0.0, 0.05, 0.2)))
-        good = idx.pre_move(target)
-        assert good == ref_pre_move(idx, target)
+        assert idx.pre_move(target) == ref_pre_move(idx, target)
         while target != idx.full_states:
             grown = target | random_mask(rng, n, rng.choice((0.02, 0.1, 0.3)))
-            good = idx.pre_move(grown, target, good)
-            assert good == ref_pre_move(idx, grown), label
+            expected = ref_pre_move(idx, grown)
+            if target:  # only what the grown target adds
+                expected &= ~ref_pre_move(idx, target)
+            assert idx.pre_move(grown, target) == expected, label
             target = grown
 
 
@@ -352,10 +354,8 @@ def test_filter_ceu_from_a_closed_floor(label, idx):
 
 
 def test_reach_from_a_frames_new_coverage_is_the_fixpoint_from_scratch(monkeypatch):
-    """A search frame below the root grows its coverage ``cov`` only from
-    ``cov & ~known``, the states its own moves added: every allowed move all
-    of whose successors lie in the parent's coverage ``known`` is either
-    excluded, blocked or already covered.  Every recorded call, from the
+    """A search frame grows its coverage ``cov`` only from the states of its
+    candidate moves, not from all of ``cov``.  Every recorded call, from the
     search and from ``filter_ceu``, is held to the sweep from ``z``."""
     rng = random.Random(223)
     models = [random_model(rng, max_states=7) for _ in range(40)]
@@ -391,6 +391,65 @@ def test_reach_from_a_frames_new_coverage_is_the_fixpoint_from_scratch(monkeypat
         assert rounds == (growing + 1 if frontier else 0)
         incremental += frontier != z
     assert incremental > 50
+
+
+def test_search_frames_start_reach_from_their_candidates_states(monkeypatch):
+    """Every ``reach`` call of a search frame passes as ``frontier`` exactly
+    the states outside ``z & ~frontier`` of the allowed moves all of whose
+    successors lie in ``z & ~frontier``: the first round of the fixpoint
+    from the frame's coverage.  Held to a per-move sweep on the corpus, on
+    castles 1,1,1 and on ``eval_ceu`` with random fragments, the empty one
+    included."""
+    calls = []  # (index, allowed, z, frontier) of every call from a frame
+    reach = CoalitionIndex.reach
+
+    def recording(idx, allowed, z, frontier):
+        if sys._getframe(1).f_code.co_name == "grow":  # not filter_ceu
+            calls.append((idx, allowed, z, frontier))
+        return reach(idx, allowed, z, frontier)
+    monkeypatch.setattr(CoalitionIndex, "reach", recording)
+    rng = random.Random(229)
+    for _ in range(40):
+        model = random_model(rng, max_states=7)
+        for _ in range(5):
+            check(model, random_formula(rng, model, depth=2))
+    castles = modelio.gen_castles(1, 1, 1)
+    for goal in ("castle3_defeated", "all_defeated"):
+        check(castles, "<<c1w1,c2w1>> F " + goal,
+              query=castles.state_set(castles.initial))
+    checked = len(calls)
+    empty = 0
+    for _ in range(150):
+        model = random_model(rng, max_states=7)
+        idx = model.index(rng.sample(model.agents, rng.randint(1, min(2, len(model.agents)))))
+        n, n_moves = idx.n_states, len(idx.move_state)
+        strategy = 0
+        if rng.random() < 0.7:
+            strategy = next(idx.split_all(random_mask(rng, n_moves, rng.choice((0.1, 0.3, 0.6))),
+                                          True), 0)
+        empty += strategy == 0
+        exclude = random_mask(rng, n_moves, 0.2) & ~strategy
+        interest = random_mask(rng, n, 0.6)
+        while idx.closure(interest) != interest:
+            interest = idx.closure(interest)
+        eval_ceu(model, StateSet(model, interest), MoveSet(model, idx.gamma, strategy),
+                 StateSet(model, random_mask(rng, n, 0.8)),
+                 StateSet(model, random_mask(rng, n, 0.3)), MoveSet(model, idx.gamma, exclude))
+    # an empty fragment starts from its moves without successors
+    stuck = stuck_model()
+    everything = stuck.all_states()
+    nothing = MoveSet(stuck, ("g",), 0)
+    assert eval_ceu(stuck, everything, nothing, everything, everything, nothing).ids() == {"u"}
+    assert checked > 50 and len(calls) > checked + 20 and empty > 20
+    assert calls[-1][2] == calls[-1][3] == 1
+
+    for idx, allowed, z, frontier in calls:
+        base = z & ~frontier
+        first = 0
+        for m, succ in enumerate(idx.succ_mask):
+            if allowed >> m & 1 and succ & ~base == 0:
+                first |= 1 << idx.move_state[m]
+        assert frontier == first & ~base
 
 
 def stuck_model():
@@ -557,8 +616,8 @@ def test_move_without_successor_is_in_pre_move_of_every_target():
     assert idx.pre_move(0) == stuck == ref_pre_move(idx, 0)
     u, v = 1, 2
     assert idx.pre_move(v) == ref_pre_move(idx, v)
-    assert idx.pre_move(v, 0, 0) & stuck
-    assert idx.pre_move(u | v, v, idx.pre_move(v)) == idx.all_moves_mask
+    assert idx.pre_move(v, 0) & stuck
+    assert idx.pre_move(u | v, v) == ref_pre_move(idx, u | v) & ~ref_pre_move(idx, v) == 0
     assert idx.pre_ce(0) == u == ref_pre_ce(idx, 0)
     assert idx.filter_ceu(idx.full_states, 0) == u == ref_filter_ceu(idx, idx.full_states, 0)
 

@@ -33,3 +33,27 @@ def test_the_engine_imports_only_errors_from_the_package():
     modules.update(alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                    for alias in node.names if "atlir" in alias.name)
     assert modules == {"errors"}
+
+
+def _reads(path, name, attr):
+    """The qualified name of the function around each read of ``name.attr``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == attr
+                    and isinstance(child.value, ast.Name) and child.value.id == name):
+                found.append(".".join(scope))
+            visit(child, scope)
+    visit(_tree(path), ())
+    return found
+
+
+def test_only_the_walk_resolves_a_strategic_coalition():
+    # the solvers are handed the index of the node's coalition
+    reads = {path: _reads(SRC / path, "f", "coalition")
+             for path in ("checker.py", "oracle.py")}
+    assert reads == {"checker.py": ["Walk.sat", "Walk.sat"], "oracle.py": []}

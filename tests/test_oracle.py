@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from atlir.checker import evaluate
+from atlir.checker import check, evaluate
 from atlir.errors import EnumerationCapExceeded, IncompleteStrategy
 from atlir.formula import TRUE, Atom, CanNext, CanUntil, Not, normalize, parse
 from atlir.icgs import gamma_closure, with_perfect_information
@@ -219,3 +219,19 @@ def test_all_out_assault_is_a_winning_witness(castles111):
             uniform = oracle_eval(model, f)
             general = perfect_info_eval(model, f)
             assert uniform <= general
+
+
+def test_an_unobserved_state_is_one_class_for_the_oracle():
+    # g has no observation token for v: like the checker's index, the
+    # oracle treats the token None as one class
+    model = make_model(["g"], ["t", "u", "v"],
+                       {"g": {"t": ["a"], "u": ["a", "b"], "v": ["a"]}},
+                       {("t", ("a",)): "t", ("u", ("a",)): "t", ("u", ("b",)): "v",
+                        ("v", ("a",)): "t"},
+                       {"g": {"t": "t", "u": "u"}}, {"t": ["p"]})
+    f = parse("<<g>> F p", model)
+    assert oracle_eval(model, f) == check(model, f).sat == perfect_info_eval(model, f)
+    assert check(model, f).sat.ids() == {"t", "u", "v"}
+    assert count_uniform(model, ["g"]) == 2
+    assert [s.assignment for s in enumerate_uniform(model, ["g"])] == [
+        (((None, "a"), ("t", "a"), ("u", action)),) for action in ("a", "b")]
