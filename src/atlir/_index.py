@@ -320,9 +320,8 @@ class CoalitionIndex:
         states of ``q1`` with a move without successors.
         ``stats.fixpoint_iterations`` counts its rounds.  Every target
         between ``target`` and the result has the same result, so the search
-        calls it once per query, on the whole until target: every maximal
-        seed covers that target, and every coverage a fragment grows to lies
-        inside the result.
+        calls it once per query, on its root coverage: every coverage a
+        fragment grows to lies inside the result.
         """
         z = target | (q1mask & self.stuck_states)
         z, rounds = self.reach(self.moves_of(q1mask), z, z)

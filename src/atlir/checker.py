@@ -10,27 +10,16 @@ operators go to a solver passed in by the caller.
 The checker's solver works backwards from the target states.  For
 coalition-next, the moves that surely enter the target in one step are split
 into maximal conflict-free subsets; a state is satisfied when one subset
-covers everything the coalition confuses with it.  For coalition-until, each
-maximal conflict-free seed over the target states is grown backwards: at
-every step the moves that surely re-enter the current fragment and do not
-clash with it are split into conflict-free extensions, and the search
-backtracks over the alternatives while excluding moves it already set aside.
-Each search frame is one generator that yields its children; a driver loop
-keeps the generators on an explicit stack, so the depth is not bounded by
-the interpreter's recursion limit.
-Before any seed is split, a state is abandoned when some indistinguishable
-state loses even under perfect information (no general strategy reaches the
-target through ``q1``).  That filter runs once per query: in a valid model
-every maximal seed covers the whole target (protocols agree across an
-observation class, so in a state a seed leaves uncovered each agent could
-take the action its class already uses, or any if the class has none, and
-conflict with nothing), and every state a fragment adds reaches the coverage
-it grew from.  That filter ranges over every move of ``q1``, so below a
-seed it never cuts; each search frame with moves to split therefore also
-computes the least fixpoint over only the moves that a uniform extension of
-its fragment may still add, and returns without splitting when no state
-left to decide lies with its whole class inside it.  A state is won as soon
-as the fragment covers its whole indistinguishability class.
+covers everything the coalition confuses with it.  For coalition-until, one
+search tree grows a strategy fragment backwards from the empty fragment,
+whose coverage is the target: a target state is won whatever the coalition
+plays there.  At every step the moves that surely re-enter the current
+coverage and do not clash with the fragment are split into conflict-free
+extensions, and the search backtracks over the alternatives while excluding
+moves it already set aside.  A state is won as soon as the coverage holds
+its whole indistinguishability class.  The states that lose even under
+perfect information are dropped once, before the tree is grown, and every
+frame prunes with its own not-lose set (see :func:`_ceu_search`).
 """
 
 from __future__ import annotations
@@ -146,9 +135,7 @@ def check(model: Icgs, f, cache: EvalCache = None,
     as soon as they are decided, which is dramatically cheaper on models
     whose other states have broad indistinguishability classes.
     """
-    if isinstance(f, str):
-        f = parse(f, model)
-    nf = normalize(f)
+    nf = _normalized(model, f)
     stats = CheckStats()
     initial = model.state_set(model.initial).mask
     qmask = model._all_mask if query is None else state_mask(model, query)
@@ -158,12 +145,17 @@ def check(model: Icgs, f, cache: EvalCache = None,
     return CheckResult(nf, StateSet(model, sat), initial & ~sat == 0, stats)
 
 
-def evaluate(model: Icgs, query: StateSet, f: Formula,
-             cache: EvalCache = None) -> StateSet:
-    """The states of ``query`` satisfying ``f`` (normalized internally)."""
+def evaluate(model: Icgs, query: StateSet, f, cache: EvalCache = None) -> StateSet:
+    """The states of ``query`` satisfying ``f``, text or AST (normalized
+    internally)."""
     qmask = state_mask(model, query)
     walk = _walk(model, cache, CheckStats())
-    return StateSet(model, walk.sat(normalize(f), qmask))
+    return StateSet(model, walk.sat(_normalized(model, f), qmask))
+
+
+def _normalized(model, f):
+    """The normal form of a formula given as text or as an AST."""
+    return normalize(parse(f, model) if isinstance(f, str) else f)
 
 
 def eval_ceu(model: Icgs, interest: StateSet, strategy: MoveSet,
@@ -181,11 +173,11 @@ def eval_ceu(model: Icgs, interest: StateSet, strategy: MoveSet,
 
     ``q2`` is not read: a state is won once the fragment covers its whole
     class, so the fragment itself carries the target (a caller seeds it with
-    moves of ``q2`` states).  Since the fragment is arbitrary, the
-    perfect-information filter runs on its own coverage, once, before the
-    search grows it.  Every frame of that search then prunes with its own
-    not-lose set, as the checker's search does; the prune only skips
-    fragments that can win nothing, so the answer is the same.
+    moves of ``q2`` states).  The search is the checker's, rooted at the
+    fragment with its coverage as the root coverage: the perfect-information
+    filter runs on that coverage, once, and every frame prunes with its own
+    not-lose set; the prune only skips fragments that can win nothing, so
+    the answer is the same.
 
     ``interest`` must be closed under coalition indistinguishability,
     ``strategy`` conflict-free and disjoint from ``exclude``; violations
@@ -204,10 +196,7 @@ def eval_ceu(model: Icgs, interest: StateSet, strategy: MoveSet,
     if idx.closure(imask) != imask:
         raise PreconditionViolation(
             "interest is not closed under coalition indistinguishability")
-    stats = CheckStats()
-    notlose = idx.filter_ceu(q1mask, idx.cover(smask), stats)
-    won = _ceu_search(idx, idx.closed_within(imask, notlose), smask,
-                      idx.moves_of(q1mask), xmask, stats)
+    won = _until(idx, imask, q1mask, smask, idx.cover(smask), xmask, CheckStats())
     return StateSet(model, won)
 
 
@@ -226,8 +215,9 @@ def _walk(model, cache, stats):
 
 
 def _search(stats, walk, f, idx, qmask):
-    """Split the seed moves into maximal conflict-free subsets and grow each
-    subset until the states of interest are decided."""
+    """Decide the states of interest: for coalition-next, over the maximal
+    conflict-free subsets of the moves into the target; for coalition-until,
+    by one search tree rooted at the empty fragment covering the target."""
     interest = idx.closure(qmask)
     if isinstance(f, CanNext):
         # Evaluate the operand on the successors of everything any coalition
@@ -235,93 +225,93 @@ def _search(stats, walk, f, idx, qmask):
         post = idx.post(idx.closure(interest))
         target = walk.memo.get(f.sub)
         target = walk.sat(f.sub, post) if target is None else target & post
-        seeds = idx.pre_move(target)
+        if interest == 0:
+            return 0
         sat = 0
-
-        def grow(seed, remaining):
-            return idx.closed_within(remaining, idx.cover(seed))
-    else:
-        q1 = walk.full(f.lhs)
-        q2 = walk.full(f.rhs)
-        # States whose whole indistinguishability class already satisfies
-        # the target need no strategy at all.  The others are abandoned when
-        # some indistinguishable state loses even under perfect information:
-        # every seed covers all of q2, so this is each seed's filter too.
-        sat = idx.closed_within(interest, q2)
-        if sat != interest:
-            interest = idx.closed_within(interest,
-                                         idx.filter_ceu(q1, q2, stats))
-        moves_q1 = idx.moves_of(q1)
-        seeds = idx.moves_of(q2)
-
-        def grow(seed, remaining):
-            return _ceu_search(idx, remaining, seed, moves_q1, 0, stats)
-    remaining = interest & ~sat
-    if remaining == 0:
+        stats.split_calls += 1
+        for sub in idx.split_all(idx.pre_move(target), True):
+            stats.strategies_explored += 1
+            sat |= idx.closed_within(interest & ~sat, idx.cover(sub))
+            if interest & ~sat == 0:
+                break
         return sat & qmask
-    stats.split_calls += 1
-    for seed in idx.split_all(seeds, True):
-        stats.strategies_explored += 1
-        sat |= grow(seed, remaining)
-        remaining = interest & ~sat
-        if remaining == 0:
-            break
-    return sat & qmask
+    # the root is the empty fragment: a target state needs no move
+    return _until(idx, interest, walk.full(f.lhs), 0, walk.full(f.rhs), 0,
+                  stats) & qmask
 
 
-def _ceu_search(idx, interest, strategy, moves_q1, exclude, stats):
-    """Backtracking growth of one conflict-free strategy fragment.
+def _until(idx, interest, q1, strategy, cov, exclude, stats):
+    """The states of ``interest`` won by growing the fragment ``strategy``
+    from its root coverage ``cov`` over the moves of the ``q1`` states
+    outside ``cov``.  The perfect-information filter runs once, on ``cov``:
+    every coverage the search grows to lies inside its answer."""
+    won = idx.closed_within(interest, cov)
+    if won == interest:
+        return won
+    remaining = idx.closed_within(interest, idx.filter_ceu(q1, cov, stats)) & ~won
+    if remaining == 0:
+        return won
+    return won | _ceu_search(idx, remaining, strategy, cov,
+                             idx.moves_of(q1 & ~cov), exclude, stats)
+
+
+def _ceu_search(idx, interest, strategy, cov, moves_q1, exclude, stats):
+    """Backtracking growth of one conflict-free strategy fragment from the
+    root coverage ``cov``.
 
     Each search frame is one generator, ``grow``, whose body runs once the
-    driver first advances it.  Its locals are the fragment ``strategy``, the
-    moves set aside ``exclude``, the fragment's coverage ``cov``, the moves
-    the frame adds ``added``, its parent's coverage ``known`` and
-    ``blocked``, the moves that conflict with the fragment (the clash of
-    ``added`` joins it only in a frame with moves to filter).  The frame's
-    candidates ``comp`` are the allowed moves that surely enter ``cov`` from
-    outside it; it yields one child per non-empty conflict-free extension by
-    them and returns once every state of interest is won.  The driver keeps
-    the frames on an explicit stack: the depth, bounded by the number of
-    coalition moves, can exceed the recursion limit.  ``won`` accumulates
-    across the whole tree.  ``moves_q1`` is ``idx.moves_of(q1)``.
+    driver first advances it.  Its locals are the moves set aside
+    ``exclude``, its coverage ``cov`` (the root coverage and the states of
+    the moves added since), the moves the frame adds ``added`` (``strategy``
+    at the root), its parent's coverage ``known`` and ``blocked``, the moves
+    that conflict with the fragment (the clash of ``added`` joins it only in
+    a frame with moves to filter).  The frame's candidates ``comp`` are the
+    allowed moves that surely enter ``cov`` from outside it; it yields one
+    child per non-empty conflict-free extension by them and returns once
+    every state of interest is won.  The driver keeps the frames on an
+    explicit stack: the depth, bounded by the number of coalition moves, can
+    exceed the recursion limit.  ``won`` accumulates across the whole tree.
+    ``moves_q1`` holds the moves of ``q1`` that may join the fragment.
 
     The caller has already dropped the states that lose under perfect
-    information: ``filter_ceu(q1, T)`` for the whole until target ``T``
-    (which every maximal seed covers in a valid model) or for the root's
-    coverage.  That filter ranges over every move of ``q1``, so it cannot
-    cut below the root.  Each frame with candidates therefore also computes
-    its own not-lose set ``N``, the ``idx.reach`` of ``cov`` over ``allowed
-    = moves_q1 & ~blocked & ~exclude``, the only moves a uniform extension
-    of its fragment may still add, and returns unsplit when no remaining
-    state of interest has its whole class inside ``N``.  The prune is sound:
-    the search only adds allowed moves that surely enter the current
-    coverage, and ``blocked`` and ``exclude`` only grow down the tree, so
-    every coverage in the subtree lies inside ``N``.
+    information, ``filter_ceu(q1, cov)`` for the root coverage.  That filter
+    ranges over every move of ``q1``, so it cannot cut below the root.  Each
+    frame with candidates therefore also computes its own not-lose set
+    ``N``, the ``idx.reach`` of ``cov`` over ``allowed = moves_q1 & ~blocked
+    & ~exclude``, the only moves a uniform extension of its fragment may
+    still add, and returns unsplit when no remaining state of interest has
+    its whole class inside ``N``.  The prune is sound: the search only adds
+    allowed moves that surely enter the current coverage, and ``blocked``
+    and ``exclude`` only grow down the tree, so every coverage in the
+    subtree lies inside ``N``.
 
     The states of ``comp`` are the first round of ``N``, so ``reach`` starts
     with them as its frontier.  That is exact, in three steps:
 
-    1. Every move of ``moves_q1`` that surely enters ``known`` is in this
-       frame's ``strategy`` or ``exclude``: the parent split its candidates
-       into ``sub``, added, and the rest, set aside.  So only a move with a
-       successor in ``cov & ~known`` can be new.  At the root ``known == 0``
-       and ``pre_move`` returns its whole answer, stuck moves included.
-    2. ``comp`` misses no state outside ``cov``: a move at a covered state
-       that is not in the fragment conflicts with the fragment's move there,
-       so it is ``blocked``.  Hence ``comp`` holds exactly the allowed moves
-       that surely enter ``cov`` and whose state lies outside it.
+    1. Every move of ``moves_q1`` that surely enters ``known`` is in the
+       fragment or in ``exclude``: the parent split its candidates into
+       ``sub``, added, and the rest, set aside.  So only a move with a
+       successor in ``cov & ~known`` can be new, and no fragment move has
+       one.  At the root ``known == 0``, ``pre_move`` returns its whole
+       answer, stuck moves included, and ``moves_q1`` misses ``strategy``.
+    2. ``comp`` misses no state outside ``cov``: ``moves_q1`` has no move at
+       a covered state outside the fragment, the caller's condition on the
+       root, and a move at a state of the fragment that is not in it
+       conflicts with the fragment's move there, so it is ``blocked``.
+       Hence ``comp`` holds exactly the allowed moves that surely enter
+       ``cov`` and whose state lies outside it.
     3. ``reach``'s precondition holds: every allowed move all of whose
        successors lie in ``z & ~frontier == cov`` has its state in ``z``.
     """
     won = 0
 
-    def grow(strategy, exclude, cov, added, known, blocked):
+    def grow(exclude, cov, added, known, blocked):
         nonlocal won
         # Won: the whole class is covered by the fragment.
         won |= idx.closed_within(interest & ~won, cov)
         if interest & ~won == 0:
             return
-        new_moves = idx.pre_move(cov, known) & moves_q1 & ~strategy & ~exclude
+        new_moves = idx.pre_move(cov, known) & moves_q1 & ~exclude
         if new_moves:
             blocked |= idx.clash(added)
         comp = new_moves & ~blocked
@@ -338,12 +328,12 @@ def _ceu_search(idx, interest, strategy, moves_q1, exclude, stats):
             if sub == 0:  # only the non-empty subsets extend the fragment
                 continue
             stats.strategies_explored += 1
-            yield grow(strategy | sub, exclude | (new_moves & ~sub),
-                       cov | idx.cover(sub), sub, cov, blocked)
+            yield grow(exclude | (new_moves & ~sub), cov | idx.cover(sub),
+                       sub, cov, blocked)
             if interest & ~won == 0:
                 return
 
-    stack = [grow(strategy, exclude, idx.cover(strategy), strategy, 0, 0)]
+    stack = [grow(exclude, cov, strategy, 0, 0)]
     while stack:
         if len(stack) > stats.max_depth:
             stats.max_depth = len(stack)

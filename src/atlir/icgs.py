@@ -313,7 +313,12 @@ class GroupAction:
     picks: tuple
 
     def completes(self, model: Icgs, joint: tuple) -> bool:
-        """True iff the full joint action agrees with this one on the coalition."""
+        """True iff the full joint action, a tuple in agent order, agrees with
+        this one on the coalition.  Raises :class:`UnknownAgent` for an agent
+        the model does not know, :class:`DisabledJointAction` as :func:`step`
+        does for a joint of the wrong length."""
+        model.coalition(self.coalition)
+        joint = _full_joint(model, joint)
         return all(joint[model._agent_pos[ag]] == a
                    for ag, a in zip(self.coalition, self.picks))
 
@@ -634,6 +639,15 @@ def gamma_closure(model: Icgs, coalition, qs: StateSet) -> StateSet:
     return StateSet(model, idx.closure(state_mask(model, qs)))
 
 
+def _full_joint(model: Icgs, joint) -> tuple:
+    """``joint`` as a tuple, one action per agent of the model."""
+    joint = tuple(joint)
+    if len(joint) != len(model.agents):
+        raise DisabledJointAction("joint action has %d entries for %d agents"
+                                  % (len(joint), len(model.agents)))
+    return joint
+
+
 def step(model: Icgs, state, joint) -> str:
     """The successor of ``state`` under a full joint action.
 
@@ -648,11 +662,7 @@ def step(model: Icgs, state, joint) -> str:
             raise DisabledJointAction("joint action misses agents %r" % (missing,))
         joint = tuple(joint[ag] for ag in model.agents)
     else:
-        joint = tuple(joint)
-        if len(joint) != len(model.agents):
-            raise DisabledJointAction(
-                "joint action has %d entries for %d agents"
-                % (len(joint), len(model.agents)))
+        joint = _full_joint(model, joint)
     slot = 0  # the joint action's position in the state's row
     for ag, a in zip(model.agents, joint):
         acts = model.protocol.get(ag, {}).get(state, ())

@@ -56,6 +56,13 @@ def test_disjunction_unions(cardgame):
     assert evaluate(cardgame, full, f) == full
 
 
+def test_evaluate_parses_text_as_check_does(cardgame):
+    text = "<<player>> F win"
+    full = cardgame.all_states()
+    assert evaluate(cardgame, full, text) == evaluate(cardgame, full, parse(text, cardgame))
+    assert evaluate(cardgame, full, text) == check(cardgame, text).sat
+
+
 def test_unsupported_operator_rejected(cardgame):
     f = CanWeakUntil(("player",), TRUE, Atom("win"))
     with pytest.raises(UnsupportedOperator):
@@ -427,15 +434,15 @@ def test_check_with_initial_query_matches_full_verdict():
 # engine must not move them; a change of the pruning may, and re-pins them.
 # The fixpoint count pins the rounds of the delta worklist, run once per
 # query; that filter alone decides the FAILS rows of 1,1,2 and 1,1,3, before
-# any seed is split.  Each case builds its own model, as ``atlir check`` does.
+# the search tree is grown.  Each case builds its own model, as ``atlir check`` does.
 # Counters do not depend on what ran on a model before (see the history test
 # above), so this only keeps each row self-contained.
 SEARCH_ORDER = [
-    ((1, 1, 1), "<<c1w1,c2w1>> F castle3_defeated", True, (5, 5, 0, 7, 5)),
-    ((1, 1, 1), "<<c1w1,c2w1>> F all_defeated", False, (11, 3, 9, 6, 3)),
-    ((1, 1, 2), "<<c1w1,c2w1>> F castle3_defeated", True, (37, 5, 0, 5, 5)),
+    ((1, 1, 1), "<<c1w1,c2w1>> F castle3_defeated", True, (4, 4, 0, 7, 5)),
+    ((1, 1, 1), "<<c1w1,c2w1>> F all_defeated", False, (10, 2, 9, 6, 3)),
+    ((1, 1, 2), "<<c1w1,c2w1>> F castle3_defeated", True, (36, 4, 0, 5, 5)),
     ((1, 1, 2), "<<c1w1,c2w1>> F all_defeated", False, (0, 0, 0, 6, 0)),
-    ((1, 2, 2), "<<c1w1,c2w1,c2w2>> F castle3_defeated", True, (35, 3, 6, 5, 3)),
+    ((1, 2, 2), "<<c1w1,c2w1,c2w2>> F castle3_defeated", True, (34, 2, 6, 5, 3)),
     ((1, 1, 3), "<<c1w1,c2w1>> F castle3_defeated", False, (0, 0, 0, 3, 0)),
 ]
 
@@ -452,7 +459,7 @@ def test_castles_search_order_is_pinned(counts, text, holds, expected):
 
 # -- the per-fragment prune against the unpruned search ------------------------
 
-def ref_ceu_search(idx, interest, strategy, moves_q1, exclude, stats):
+def ref_ceu_search(idx, interest, strategy, cov, moves_q1, exclude, stats):
     """The search without the per-fragment prune: every frame with candidate
     moves splits them.  Same arguments and result as ``_ceu_search``, but
     every frame computes ``pre_move`` of its coverage from scratch, so the
@@ -480,7 +487,7 @@ def ref_ceu_search(idx, interest, strategy, moves_q1, exclude, stats):
             if interest & ~won == 0:
                 return
 
-    stack = [grow(strategy, exclude, idx.cover(strategy), strategy, 0)]
+    stack = [grow(strategy, exclude, cov, strategy, 0)]
     while stack:
         stats.max_depth = max(stats.max_depth, len(stack))
         child = next(stack[-1], None)
@@ -491,14 +498,18 @@ def ref_ceu_search(idx, interest, strategy, moves_q1, exclude, stats):
     return won
 
 
-@pytest.fixture
-def unpruned(monkeypatch):
-    """Run a thunk with the checker's search swapped for the reference."""
+def _swapped(monkeypatch, name, reference):
+    """Run a thunk with the checker's function ``name`` swapped for a reference."""
     def run(thunk):
         with monkeypatch.context() as patch:
-            patch.setattr(atlir.checker, "_ceu_search", ref_ceu_search)
+            patch.setattr(atlir.checker, name, reference)
             return thunk()
     return run
+
+
+@pytest.fixture
+def unpruned(monkeypatch):
+    return _swapped(monkeypatch, "_ceu_search", ref_ceu_search)
 
 
 def test_pruned_search_agrees_with_the_unpruned_one_on_the_corpus(unpruned):
@@ -517,7 +528,7 @@ def test_pruned_search_agrees_with_the_unpruned_one_on_the_corpus(unpruned):
             explored += got.stats.strategies_explored
             reference_explored += expected.stats.strategies_explored
     # pinned like SEARCH_ORDER: a weaker prune explores more fragments
-    assert (explored, pruned, reference_explored) == (473, 10, 490)
+    assert (explored, pruned, reference_explored) == (365, 0, 365)
 
 
 @pytest.mark.parametrize("counts", [(1, 1, 1), (1, 1, 2)])
@@ -535,9 +546,9 @@ def test_eval_ceu_prunes_without_changing_its_answer(unpruned, monkeypatch):
     searched = []  # the stats of every search eval_ceu runs
     ceu_search = atlir.checker._ceu_search
 
-    def search(idx, interest, strategy, moves_q1, exclude, stats):
+    def search(idx, interest, strategy, cov, moves_q1, exclude, stats):
         searched.append(stats)
-        return ceu_search(idx, interest, strategy, moves_q1, exclude, stats)
+        return ceu_search(idx, interest, strategy, cov, moves_q1, exclude, stats)
     monkeypatch.setattr(atlir.checker, "_ceu_search", search)
     rng = random.Random(173)
     done = 0
@@ -560,3 +571,67 @@ def test_eval_ceu_prunes_without_changing_its_answer(unpruned, monkeypatch):
             lambda: eval_ceu(model, interest, strategy, q1, q2, exclude))
         done += 1
     assert sum(stats.fragments_pruned for stats in searched) > 0
+
+
+# -- the one until tree against the forest of maximal seeds ------------------
+
+_search = atlir.checker._search  # the checker's solver, for coalition-next
+
+
+def ref_seeded_until(stats, walk, f, idx, qmask):
+    """The until search as a forest: the moves of the target are split into
+    maximal conflict-free seeds, and each seed grows in its own search from
+    its own coverage over every move of ``q1``.  The filter runs once, on the
+    target, since in a valid model every maximal seed covers the whole
+    target.  Coalition-next goes to the checker's own solver."""
+    if isinstance(f, CanNext):
+        return _search(stats, walk, f, idx, qmask)
+    interest = idx.closure(qmask)
+    q1 = walk.full(f.lhs)
+    q2 = walk.full(f.rhs)
+    sat = idx.closed_within(interest, q2)
+    if sat != interest:
+        interest = idx.closed_within(interest, idx.filter_ceu(q1, q2, stats))
+    remaining = interest & ~sat
+    if remaining == 0:
+        return sat & qmask
+    moves_q1 = idx.moves_of(q1)
+    stats.split_calls += 1
+    for seed in idx.split_all(idx.moves_of(q2), True):
+        stats.strategies_explored += 1
+        sat |= atlir.checker._ceu_search(idx, remaining, seed, idx.cover(seed),
+                                         moves_q1, 0, stats)
+        remaining = interest & ~sat
+        if remaining == 0:
+            break
+    return sat & qmask
+
+
+@pytest.fixture
+def seeded(monkeypatch):
+    return _swapped(monkeypatch, "_search", ref_seeded_until)
+
+
+def test_one_tree_agrees_with_the_seed_forest_on_the_corpus(seeded):
+    rng = random.Random(179)
+    for _ in range(40):
+        model = random_model(rng, max_states=7)
+        for _ in range(6):
+            f = random_formula(rng, model, depth=2)
+            got = check(model, f)
+            expected = seeded(lambda: check(model, f))
+            assert got.sat == expected.sat, f
+            assert got.stats.strategies_explored <= expected.stats.strategies_explored
+            assert got.stats.fixpoint_iterations == expected.stats.fixpoint_iterations
+
+
+@pytest.mark.parametrize("counts", [(1, 1, 1), (1, 1, 2)])
+@pytest.mark.parametrize("goal", ["castle3_defeated", "all_defeated"])
+def test_one_tree_agrees_with_the_seed_forest_on_castles(counts, goal, seeded):
+    model = gen_castles(*counts)
+    text = "<<c1w1,c2w1>> F " + goal
+    init = model.state_set(model.initial)
+    got = check(model, text, query=init)
+    expected = seeded(lambda: check(model, text, query=init))
+    assert (got.holds, got.sat) == (expected.holds, expected.sat)
+    assert got.stats.strategies_explored <= expected.stats.strategies_explored

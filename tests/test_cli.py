@@ -51,7 +51,7 @@ def test_json_report_schema_and_determinism(capsys):
     assert entry["holds"] is False
     assert entry["sat_count"] == len(entry["sat"]) == 3
     assert entry["sat"] == ["show_AK", "show_KQ", "show_QA"]
-    assert entry["stats"] == {"strategies_explored": 27, "split_calls": 2,
+    assert entry["stats"] == {"strategies_explored": 26, "split_calls": 1,
                               "fragments_pruned": 0,
                               "fixpoint_iterations": 3, "max_depth": 2}
     assert "timings" in report

@@ -626,6 +626,17 @@ def test_group_action_completion(cardgame):
     assert GroupAction((), ()).completes(cardgame, ("deal_AQ", "wait"))
 
 
+@pytest.mark.parametrize("joint", [("keep",), ("deal_AK", "keep", "keep")])
+def test_group_action_completion_rejects_a_joint_of_the_wrong_length(cardgame, joint):
+    with pytest.raises(DisabledJointAction):
+        GroupAction(("player",), ("keep",)).completes(cardgame, joint)
+
+
+def test_group_action_completion_rejects_an_unknown_agent(cardgame):
+    with pytest.raises(UnknownAgent, match="'ghost'"):
+        GroupAction(("ghost",), ("keep",)).completes(cardgame, ("deal_AK", "keep"))
+
+
 def test_perfect_information_transform(cardgame):
     pi = with_perfect_information(cardgame)
     assert validate(pi) == []

@@ -57,3 +57,38 @@ def test_only_the_walk_resolves_a_strategic_coalition():
     reads = {path: _reads(SRC / path, "f", "coalition")
              for path in ("checker.py", "oracle.py")}
     assert reads == {"checker.py": ["Walk.sat", "Walk.sat"], "oracle.py": []}
+
+
+def _calls(path, name):
+    """Each call of the function or method ``name``: the qualified name of
+    the function around it, the tests of the ``if`` statements whose body
+    holds it, and its positional arguments, all as source text."""
+    found = []
+
+    def visit(node, scope, tests):
+        for field, value in ast.iter_fields(node):
+            inner = tests + (ast.unparse(node.test),) if (
+                isinstance(node, ast.If) and field == "body") else tests
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, scope + (child.name,), ())
+                    continue
+                if not isinstance(child, ast.AST):
+                    continue
+                if isinstance(child, ast.Call) and name in (
+                        getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                    found.append((".".join(scope), inner,
+                                  tuple(map(ast.unparse, child.args))))
+                visit(child, scope, inner)
+    visit(_tree(path), (), ())
+    return found
+
+
+def test_the_until_search_is_one_tree():
+    # Until queries and eval_ceu reach the search through one entry, and
+    # only coalition-next splits its moves into maximal subsets.
+    checker = SRC / "checker.py"
+    assert [scope for scope, _, _ in _calls(checker, "_ceu_search")] == ["_until"]
+    maximal = [(scope, tests) for scope, tests, args in _calls(checker, "split_all")
+               if args[1:] == ("True",)]
+    assert maximal == [("_search", ("isinstance(f, CanNext)",))]

@@ -398,13 +398,13 @@ def _corpus_models():
 
 
 # castles 1,1,1 stops at coalitions of two, <<c1w1,c2w1>> among them (20,736
-# seeds over castle3_defeated); the three-agent split would double the cost
+# maximal subsets over castle3_defeated); the three-agent split would double the cost
 @pytest.mark.parametrize("source,max_size",
                          [("corpus", 3), ("cardgame", 2), ("castles111", 2)])
 def test_every_maximal_seed_covers_the_whole_target(source, max_size, request):
-    # The checker filters once per query, on the whole until target, because
-    # in a valid model every maximal seed over moves_of(q2) covers q2: a
-    # state left uncovered could still take the action its class uses.
+    # A property of the public split: in a valid model every maximal subset
+    # of the moves of a state set covers the whole set, since a state left
+    # uncovered could still take the action its class uses.
     models = (_corpus_models() if source == "corpus"
               else [request.getfixturevalue(source)])
     for model in models:
