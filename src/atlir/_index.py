@@ -20,8 +20,9 @@ can reach each state, so a caller whose target only grows pays for the
 states it adds instead of a sweep over every move.  ``reach`` is the one
 worklist fixpoint: it grows a state set by the states of the allowed moves
 that surely enter it, examining only the predecessors of what was added.
-``filter_ceu`` is one call of it, over the moves of ``q1``; the search calls
-it once per frame, over the moves the frame's fragment may still add.
+The search calls it once per frame, over the moves the frame's fragment may
+still add.  ``filter_ceu`` is one call of it, over the moves of ``q1``: the
+not-lose set of an until search's root frame.
 
 Conflicts are masks as well.  Every coalition agent gives each move one
 integer key: the (observation class, action) pair that the move assigns the
@@ -148,11 +149,10 @@ class CoalitionIndex:
         self._move_bytes = (n_moves + 7) // 8
         # A move without successors surely enters every target, the empty
         # one included.
-        self.stuck_moves = self.stuck_states = 0
+        self.stuck_moves = 0
         for m, s in enumerate(succ):
             if not s:
                 self.stuck_moves |= 1 << m
-                self.stuck_states |= 1 << move_state[m]
 
         # Conflict keys (see above).  Per agent: the key of each move, an
         # array; per key: its moves, its class's moves and its class's key
@@ -284,24 +284,25 @@ class CoalitionIndex:
         """Grow ``z`` to the least fixpoint of ``Z -> Z | cover(allowed &
         pre_move(Z))``; return it and the number of worklist rounds.
 
-        Each round examines only the predecessors of ``frontier``, then of
-        the states the round before added, so the caller must already hold
-        in ``z`` the state of every ``allowed`` move all of whose successors
-        lie in ``z & ~frontier``.  Membership in ``allowed`` and in the
-        growing set is read from two tables of one byte per move and per
-        state, built once per call.  This is the engine's one fixpoint loop:
-        :meth:`filter_ceu` and every search frame run it.
+        The first round adds the states of the allowed moves without
+        successors and examines the predecessors of ``frontier``; each later
+        round examines those of the states the round before added.  So the
+        caller must already hold in ``z`` the state of every ``allowed`` move
+        with successors, all of them in ``z & ~frontier``.  Membership in
+        ``allowed`` and in the growing set is read from two tables of one
+        byte per move and per state, built once per call.  This is the
+        engine's one fixpoint loop: every search frame runs it.
         """
+        gain = self.cover(allowed & self.stuck_moves) & ~z
         table = _byte_table(allowed, len(self.move_state))
-        inside = _byte_table(z, self.n_states)
+        inside = _byte_table(z | gain, self.n_states)
         succ = self.succ_mask
         pred = self.pred_moves
         move_state = self.move_state
         rounds = 0
-        while frontier:
+        while frontier or gain:
             rounds += 1
             outside = ~z
-            gain = 0
             for s in bits(frontier):
                 for m in pred[s]:
                     if table[m]:
@@ -310,24 +311,14 @@ class CoalitionIndex:
                             inside[t] = 1
                             gain |= 1 << t
             z |= gain
-            frontier = gain
+            frontier, gain = gain, 0
         return z, rounds
 
-    def filter_ceu(self, q1mask, target, stats=None):
-        """Least fixpoint of ``Z -> target | (q1 & pre_ce(Z))``.
-
-        The :meth:`reach` of the moves of ``q1`` from ``target`` and the
-        states of ``q1`` with a move without successors.
-        ``stats.fixpoint_iterations`` counts its rounds.  Every target
-        between ``target`` and the result has the same result, so the search
-        calls it once per query, on its root coverage: every coverage a
-        fragment grows to lies inside the result.
-        """
-        z = target | (q1mask & self.stuck_states)
-        z, rounds = self.reach(self.moves_of(q1mask), z, z)
-        if stats is not None:
-            stats.fixpoint_iterations += rounds
-        return z
+    def filter_ceu(self, q1mask, target):
+        """Least fixpoint of ``Z -> target | (q1 & pre_ce(Z))``: the
+        :meth:`reach` of the moves of ``q1`` from ``target``, the root frame's
+        not-lose set of an until search."""
+        return self.reach(self.moves_of(q1mask), target, target)[0]
 
     # -- conflicts ----------------------------------------------------------
 

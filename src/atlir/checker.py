@@ -17,9 +17,11 @@ plays there.  At every step the moves that surely re-enter the current
 coverage and do not clash with the fragment are split into conflict-free
 extensions, and the search backtracks over the alternatives while excluding
 moves it already set aside.  A state is won as soon as the coverage holds
-its whole indistinguishability class.  The states that lose even under
-perfect information are dropped once, before the tree is grown, and every
-frame prunes with its own not-lose set (see :func:`_ceu_search`).
+its whole indistinguishability class.  Every frame first computes one
+fixpoint, its not-lose set, and drops the states outside it; at the root,
+with an empty fragment, that set is the perfect-information filter, so the
+states that lose even under perfect information are dropped there (see
+:func:`_ceu_search`).
 """
 
 from __future__ import annotations
@@ -48,9 +50,10 @@ class CheckStats:
 
     strategies_explored: int = 0
     split_calls: int = 0
-    # search frames that returned unsplit: their not-lose set wins nothing
+    # search frames that returned unsplit with states left to decide: their
+    # not-lose set wins none of them
     fragments_pruned: int = 0
-    # worklist rounds of the perfect-information filter
+    # worklist rounds of the not-lose fixpoints, summed over every frame
     fixpoint_iterations: int = 0
     max_depth: int = 0
 
@@ -174,10 +177,9 @@ def eval_ceu(model: Icgs, interest: StateSet, strategy: MoveSet,
     ``q2`` is not read: a state is won once the fragment covers its whole
     class, so the fragment itself carries the target (a caller seeds it with
     moves of ``q2`` states).  The search is the checker's, rooted at the
-    fragment with its coverage as the root coverage: the perfect-information
-    filter runs on that coverage, once, and every frame prunes with its own
-    not-lose set; the prune only skips fragments that can win nothing, so
-    the answer is the same.
+    fragment with its coverage as the root coverage.  Every frame, the root
+    included, prunes with its own not-lose set; the prune only skips
+    fragments that can win nothing, so the answer is the same.
 
     ``interest`` must be closed under coalition indistinguishability,
     ``strategy`` conflict-free and disjoint from ``exclude``; violations
@@ -196,7 +198,8 @@ def eval_ceu(model: Icgs, interest: StateSet, strategy: MoveSet,
     if idx.closure(imask) != imask:
         raise PreconditionViolation(
             "interest is not closed under coalition indistinguishability")
-    won = _until(idx, imask, q1mask, smask, idx.cover(smask), xmask, CheckStats())
+    won = _ceu_search(idx, imask, q1mask, smask, idx.cover(smask), xmask,
+                      CheckStats())
     return StateSet(model, won)
 
 
@@ -236,104 +239,74 @@ def _search(stats, walk, f, idx, qmask):
                 break
         return sat & qmask
     # the root is the empty fragment: a target state needs no move
-    return _until(idx, interest, walk.full(f.lhs), 0, walk.full(f.rhs), 0,
-                  stats) & qmask
+    return _ceu_search(idx, interest, walk.full(f.lhs), 0, walk.full(f.rhs), 0,
+                       stats) & qmask
 
 
-def _until(idx, interest, q1, strategy, cov, exclude, stats):
-    """The states of ``interest`` won by growing the fragment ``strategy``
-    from its root coverage ``cov`` over the moves of the ``q1`` states
-    outside ``cov``.  The perfect-information filter runs once, on ``cov``:
-    every coverage the search grows to lies inside its answer."""
-    won = idx.closed_within(interest, cov)
-    if won == interest:
-        return won
-    remaining = idx.closed_within(interest, idx.filter_ceu(q1, cov, stats)) & ~won
-    if remaining == 0:
-        return won
-    return won | _ceu_search(idx, remaining, strategy, cov,
-                             idx.moves_of(q1 & ~cov), exclude, stats)
-
-
-def _ceu_search(idx, interest, strategy, cov, moves_q1, exclude, stats):
-    """Backtracking growth of one conflict-free strategy fragment from the
-    root coverage ``cov``.
+def _ceu_search(idx, interest, q1, strategy, cov, exclude, stats):
+    """The states of ``interest`` won by growing the conflict-free fragment
+    ``strategy`` from its root coverage ``cov`` over ``moves_q1``, the moves
+    of the ``q1`` states outside ``cov``, never adding a move of ``exclude``.
 
     Each search frame is one generator, ``grow``, whose body runs once the
-    driver first advances it.  Its locals are the moves set aside
-    ``exclude``, its coverage ``cov`` (the root coverage and the states of
-    the moves added since), the moves the frame adds ``added`` (``strategy``
-    at the root), its parent's coverage ``known`` and ``blocked``, the moves
-    that conflict with the fragment (the clash of ``added`` joins it only in
-    a frame with moves to filter).  The frame's candidates ``comp`` are the
-    allowed moves that surely enter ``cov`` from outside it; it yields one
-    child per non-empty conflict-free extension by them and returns once
-    every state of interest is won.  The driver keeps the frames on an
-    explicit stack: the depth, bounded by the number of coalition moves, can
-    exceed the recursion limit.  ``won`` accumulates across the whole tree.
-    ``moves_q1`` holds the moves of ``q1`` that may join the fragment.
+    driver first advances it.  Its locals are its states of interest still
+    to decide, ``banned``, the moves that its fragment may no longer add
+    (``exclude``, the moves its ancestors set aside and those that conflict
+    with the fragment), its coverage ``cov`` (the root coverage and the
+    states of the moves added since), the moves it adds ``added``
+    (``strategy`` at the root) and its parent's coverage ``known``.  The
+    driver keeps the frames on an explicit stack: the depth, bounded by the
+    number of coalition moves, can exceed the recursion limit.  ``won``
+    accumulates across the whole tree.
 
-    The caller has already dropped the states that lose under perfect
-    information, ``filter_ceu(q1, cov)`` for the root coverage.  That filter
-    ranges over every move of ``q1``, so it cannot cut below the root.  Each
-    frame with candidates therefore also computes its own not-lose set
-    ``N``, the ``idx.reach`` of ``cov`` over ``allowed = moves_q1 & ~blocked
-    & ~exclude``, the only moves a uniform extension of its fragment may
-    still add, and returns unsplit when no remaining state of interest has
-    its whole class inside ``N``.  The prune is sound: the search only adds
-    allowed moves that surely enter the current coverage, and ``blocked``
-    and ``exclude`` only grow down the tree, so every coverage in the
-    subtree lies inside ``N``.
+    A frame first computes its not-lose set ``N``, the ``idx.reach`` of
+    ``cov`` over ``allowed = moves_q1 & ~banned``, the only moves a uniform
+    extension of its fragment may still add, and keeps only the states of
+    interest whose whole class lies inside ``N``.  None left, it returns
+    unsplit.  The prune is sound: the search only adds allowed moves that
+    surely enter the current coverage, and ``banned`` only grows down the
+    tree, so every coverage in the subtree lies inside ``N``.  At the root,
+    when nothing is banned, ``N`` is the perfect-information filter,
+    ``filter_ceu(q1, cov)``.  A frame with states left splits its candidates
+    ``comp``, the allowed moves that surely enter ``cov`` and not ``known``,
+    and yields one child per non-empty conflict-free extension by them,
+    until every state of interest inside ``N`` is won.
 
-    The states of ``comp`` are the first round of ``N``, so ``reach`` starts
-    with them as its frontier.  That is exact, in three steps:
-
-    1. Every move of ``moves_q1`` that surely enters ``known`` is in the
-       fragment or in ``exclude``: the parent split its candidates into
-       ``sub``, added, and the rest, set aside.  So only a move with a
-       successor in ``cov & ~known`` can be new, and no fragment move has
-       one.  At the root ``known == 0``, ``pre_move`` returns its whole
-       answer, stuck moves included, and ``moves_q1`` misses ``strategy``.
-    2. ``comp`` misses no state outside ``cov``: ``moves_q1`` has no move at
-       a covered state outside the fragment, the caller's condition on the
-       root, and a move at a state of the fragment that is not in it
-       conflicts with the fragment's move there, so it is ``blocked``.
-       Hence ``comp`` holds exactly the allowed moves that surely enter
-       ``cov`` and whose state lies outside it.
-    3. ``reach``'s precondition holds: every allowed move all of whose
-       successors lie in ``z & ~frontier == cov`` has its state in ``z``.
+    ``reach`` starts from ``cov & ~known``, the states the parent added: an
+    allowed move with successors, all of them in ``known``, was a candidate
+    of an ancestor, so it is either in the fragment, its state covered, or
+    set aside, banned.  The root's ``known`` is empty.
     """
+    moves_q1 = idx.moves_of(q1 & ~cov)
     won = 0
 
-    def grow(exclude, cov, added, known, blocked):
+    def grow(interest, banned, cov, added, known):
         nonlocal won
         # Won: the whole class is covered by the fragment.
-        won |= idx.closed_within(interest & ~won, cov)
-        if interest & ~won == 0:
+        won |= idx.closed_within(interest, cov)
+        interest &= ~won
+        if interest == 0:
             return
-        new_moves = idx.pre_move(cov, known) & moves_q1 & ~exclude
-        if new_moves:
-            blocked |= idx.clash(added)
-        comp = new_moves & ~blocked
-        if comp == 0:
-            return
-        # The not-lose set of every fragment below this frame.
-        fresh = idx.cover(comp)
-        notlose, _ = idx.reach(moves_q1 & ~(blocked | exclude), cov | fresh, fresh)
-        if idx.closed_within(interest & ~won, notlose) == 0:
+        banned |= idx.clash(added)
+        allowed = moves_q1 & ~banned
+        notlose, rounds = idx.reach(allowed, cov, cov & ~known)
+        stats.fixpoint_iterations += rounds
+        interest = idx.closed_within(interest, notlose)
+        if interest == 0:
             stats.fragments_pruned += 1
             return
+        comp = idx.pre_move(cov, known) & allowed
         stats.split_calls += 1
         for sub in idx.split_all(comp, False):
             if sub == 0:  # only the non-empty subsets extend the fragment
                 continue
             stats.strategies_explored += 1
-            yield grow(exclude | (new_moves & ~sub), cov | idx.cover(sub),
-                       sub, cov, blocked)
+            yield grow(interest, banned | (comp & ~sub), cov | idx.cover(sub),
+                       sub, cov)
             if interest & ~won == 0:
                 return
 
-    stack = [grow(exclude, cov, strategy, 0, 0)]
+    stack = [grow(interest, exclude, cov, strategy, 0)]
     while stack:
         if len(stack) > stats.max_depth:
             stats.max_depth = len(stack)

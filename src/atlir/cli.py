@@ -11,8 +11,9 @@ checker and the exhaustive oracle.
 
 Each ``--json`` result carries the search statistics of its check
 (``stats``: strategies explored, split calls, fragments pruned, fixpoint
-iterations, maximum depth), all zero but the fixpoint count when the
-perfect-information filter alone decided the query.  The report's
+iterations, maximum depth).  When the perfect-information filter, the root
+frame's not-lose set, alone decided an until query, the search explored no
+strategy and pruned its one frame, at depth 1.  The report's
 ``timings`` are ``load_s`` (load or generate the model), ``index_s`` (build
 the index of every coalition the formulas name) and ``check_s`` (parse and
 check the formulas, with the oracle if asked).

@@ -653,10 +653,11 @@ def step(model: Icgs, state, joint) -> str:
 
     ``joint`` may be a mapping from agent to action or a tuple in agent
     order.  Raises :class:`DisabledJointAction` unless every component is
-    enabled.
+    enabled, and :class:`UnknownAgent` for a key the model does not know.
     """
     model.state_position(state)
     if isinstance(joint, Mapping):
+        model.coalition(joint)
         missing = [ag for ag in model.agents if ag not in joint]
         if missing:
             raise DisabledJointAction("joint action misses agents %r" % (missing,))

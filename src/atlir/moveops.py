@@ -12,18 +12,16 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import AgentNotInCoalition, CoalitionMismatch
+from .errors import AgentNotInCoalition
 from .icgs import Icgs, Move, MoveSet, StateSet, move_mask, state_mask
 
 
 def conflicting(model: Icgs, m1: Move, m2: Move) -> bool:
-    """True iff some coalition agent sees both states alike but acts differently."""
-    if m1.coalition != m2.coalition:
-        raise CoalitionMismatch(
-            "moves over different coalitions: %r vs %r"
-            % (m1.coalition, m2.coalition))
-    model.state_position(m1.state)
-    model.state_position(m2.state)
+    """True iff some coalition agent sees both states alike but acts differently.
+
+    Both moves are checked as :meth:`MoveSet.of` checks a move.
+    """
+    MoveSet.of(model, m1.coalition, (m1, m2))
     for ag, a1, a2 in zip(m1.coalition, m1.action.picks, m2.action.picks):
         obs = model.observation.get(ag, {})
         if obs.get(m1.state) == obs.get(m2.state) and a1 != a2:

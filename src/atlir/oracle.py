@@ -25,9 +25,9 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .checker import Walk
+from .checker import Walk, _normalized
 from .errors import EnumerationCapExceeded, IncompleteStrategy
-from .formula import CanNext, normalize
+from .formula import CanNext
 from .icgs import GroupAction, Icgs, Move, MoveSet, StateSet, bits, state_mask
 
 DEFAULT_CAP = 10 ** 6
@@ -140,9 +140,10 @@ def strategy_sat_u(model: Icgs, strategy: UniformStrategy,
 
 
 def oracle_eval(model: Icgs, f, cap: int = DEFAULT_CAP) -> StateSet:
-    """Exhaustive-enumeration semantics of a formula over all states."""
+    """Exhaustive-enumeration semantics of a formula, text or AST, over all
+    states."""
     walk = Walk(model, partial(_enumerate, cap), {})
-    return StateSet(model, walk.sat(normalize(f), model._all_mask))
+    return StateSet(model, walk.sat(_normalized(model, f), model._all_mask))
 
 
 def _enumerate(cap, walk, f, idx, within):
@@ -174,9 +175,9 @@ def _enumerate(cap, walk, f, idx, within):
 
 def perfect_info_eval(model: Icgs, f) -> StateSet:
     """Perfect-information semantics: one-step controllability for next,
-    the reach-through fixpoint for until."""
+    the reach-through fixpoint for until; the formula is text or an AST."""
     walk = Walk(model, _fixpoints, {})
-    return StateSet(model, walk.sat(normalize(f), model._all_mask))
+    return StateSet(model, walk.sat(_normalized(model, f), model._all_mask))
 
 
 def _fixpoints(walk, f, idx, within):

@@ -11,7 +11,8 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(__file__).parent.parent / "src"),
                   os.environ.get("PYTHONPATH")]))
 
-from atlir import icgs, modelio
+from atlir import checker, icgs, modelio
+from atlir._index import CoalitionIndex
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +33,29 @@ def castles111():
 @pytest.fixture(scope="session")
 def castles112():
     return modelio.gen_castles(1, 1, 2)
+
+
+@pytest.fixture
+def root_calls(monkeypatch):
+    """The root frame's ``reach`` call of every until search the test runs,
+    as (index, q1, root coverage, (fixpoint, rounds)), appended as the
+    searches run.  The root's call is the first of its search; a root whose
+    coverage wins every state of interest makes none."""
+    found, pending = [], []
+    ceu_search, reach = checker._ceu_search, CoalitionIndex.reach
+
+    def search(idx, interest, q1, strategy, cov, exclude, stats):
+        pending[:] = [(q1, cov)]
+        try:
+            return ceu_search(idx, interest, q1, strategy, cov, exclude, stats)
+        finally:
+            pending.clear()
+
+    def recording(idx, allowed, z, frontier):
+        answer = reach(idx, allowed, z, frontier)
+        if pending:
+            found.append((idx,) + pending.pop() + (answer,))
+        return answer
+    monkeypatch.setattr(checker, "_ceu_search", search)
+    monkeypatch.setattr(CoalitionIndex, "reach", recording)
+    return found

@@ -52,8 +52,8 @@ def test_json_report_schema_and_determinism(capsys):
     assert entry["sat_count"] == len(entry["sat"]) == 3
     assert entry["sat"] == ["show_AK", "show_KQ", "show_QA"]
     assert entry["stats"] == {"strategies_explored": 26, "split_calls": 1,
-                              "fragments_pruned": 0,
-                              "fixpoint_iterations": 3, "max_depth": 2}
+                              "fragments_pruned": 26,
+                              "fixpoint_iterations": 29, "max_depth": 2}
     assert "timings" in report
     _, out2, _ = run(capsys, "check", "--gen", "cardgame", "--json",
                      "--list-sat", "--all-states", "<<player>> F win")

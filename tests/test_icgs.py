@@ -537,6 +537,12 @@ def test_step_rejects_disabled_actions(cardgame):
         step(cardgame, "start", {"player": "wait"})
 
 
+def test_step_rejects_a_mapping_with_an_unknown_agent(cardgame):
+    with pytest.raises(UnknownAgent, match="'zzz'"):
+        step(cardgame, "start", {"dealer": "deal_AK", "player": "wait", "zzz": "x"})
+    assert step(cardgame, "start", {"dealer": "deal_AK", "player": "wait"}) == "deal_AK"
+
+
 def test_step_total_on_enabled_joints():
     rng = random.Random(23)
     model = random_model(rng)

@@ -206,15 +206,13 @@ def ref_tables(model, gamma):
             if not succ[mid] & bit:
                 succ[mid] |= bit
                 pred[t].append(mid)
-    stuck_moves = stuck_states = 0
+    stuck_moves = 0
     for m, s in enumerate(succ):
         if not s:
             stuck_moves |= 1 << m
-            stuck_states |= 1 << move_state[m]
     return {"move_state": move_state, "move_action": move_action,
             "moves_at": moves_at, "_lookup": lookup, "succ_mask": succ,
-            "pred_moves": pred, "post_mask": post, "stuck_moves": stuck_moves,
-            "stuck_states": stuck_states}
+            "pred_moves": pred, "post_mask": post, "stuck_moves": stuck_moves}
 
 
 def ref_key_tables(model, gamma, move_state, move_action):
@@ -354,14 +352,13 @@ def test_filter_ceu_from_a_closed_floor(label, idx):
 
 
 def test_reach_from_a_frames_new_coverage_is_the_fixpoint_from_scratch(monkeypatch):
-    """A search frame grows its coverage ``cov`` only from the states of its
-    candidate moves, not from all of ``cov``.  Every recorded call, from the
-    search and from ``filter_ceu``, is held to the sweep from ``z``."""
+    """A search frame below the root grows its coverage ``cov`` only from the
+    states its parent added, not from all of ``cov``.  Every recorded call
+    is held to the sweep from ``z``."""
     rng = random.Random(223)
     models = [random_model(rng, max_states=7) for _ in range(40)]
     formulas = [[random_formula(rng, model, depth=2) for _ in range(5)]
                 for model in models]
-    castles = modelio.gen_castles(1, 1, 1)
     calls = []  # (index, allowed, z, frontier, (fixpoint, rounds))
     reach = CoalitionIndex.reach
 
@@ -373,9 +370,11 @@ def test_reach_from_a_frames_new_coverage_is_the_fixpoint_from_scratch(monkeypat
     for model, fs in zip(models, formulas):
         for f in fs:
             check(model, f)
-    for goal in ("castle3_defeated", "all_defeated"):
-        check(castles, "<<c1w1,c2w1>> F " + goal,
-              query=castles.state_set(castles.initial))
+    for counts in ((1, 1, 1), (1, 1, 2)):
+        castles = modelio.gen_castles(*counts)
+        for goal in ("castle3_defeated", "all_defeated"):
+            check(castles, "<<c1w1,c2w1>> F " + goal,
+                  query=castles.state_set(castles.initial))
     # u wins only through its move without successor
     check(make_model(["g"], ["u", "v", "t"],
                      {"g": {"u": ["a", "b"], "v": ["a"], "t": ["a"]}},
@@ -394,19 +393,21 @@ def test_reach_from_a_frames_new_coverage_is_the_fixpoint_from_scratch(monkeypat
 
 
 def test_search_frames_start_reach_from_their_candidates_states(monkeypatch):
-    """Every ``reach`` call of a search frame passes as ``frontier`` exactly
-    the states outside ``z & ~frontier`` of the allowed moves all of whose
-    successors lie in ``z & ~frontier``: the first round of the fixpoint
-    from the frame's coverage.  Held to a per-move sweep on the corpus, on
-    castles 1,1,1 and on ``eval_ceu`` with random fragments, the empty one
-    included."""
-    calls = []  # (index, allowed, z, frontier) of every call from a frame
+    """Every ``reach`` call of a search frame starts from the frame's coverage,
+    ``z == cov``, with the states its parent added, ``cov & ~known``, as its
+    frontier.  That is exact: every allowed move with successors, all of
+    them in ``known``, already has its state in ``cov``.  Held to a per-move
+    sweep on the corpus, on castles 1,1,1 and on ``eval_ceu`` with random
+    fragments, the empty one included."""
+    calls = []  # (index, allowed, z, frontier, known, answer) of every frame's call
     reach = CoalitionIndex.reach
 
     def recording(idx, allowed, z, frontier):
-        if sys._getframe(1).f_code.co_name == "grow":  # not filter_ceu
-            calls.append((idx, allowed, z, frontier))
-        return reach(idx, allowed, z, frontier)
+        frame = sys._getframe(1).f_locals
+        assert z == frame["cov"] and frontier == z & ~frame["known"]
+        answer = reach(idx, allowed, z, frontier)
+        calls.append((idx, allowed, z, frontier, frame["known"], answer))
+        return answer
     monkeypatch.setattr(CoalitionIndex, "reach", recording)
     rng = random.Random(229)
     for _ in range(40):
@@ -435,21 +436,45 @@ def test_search_frames_start_reach_from_their_candidates_states(monkeypatch):
         eval_ceu(model, StateSet(model, interest), MoveSet(model, idx.gamma, strategy),
                  StateSet(model, random_mask(rng, n, 0.8)),
                  StateSet(model, random_mask(rng, n, 0.3)), MoveSet(model, idx.gamma, exclude))
-    # an empty fragment starts from its moves without successors
+    # an empty fragment over an empty coverage wins u by its move without successors
     stuck = stuck_model()
     everything = stuck.all_states()
     nothing = MoveSet(stuck, ("g",), 0)
     assert eval_ceu(stuck, everything, nothing, everything, everything, nothing).ids() == {"u"}
     assert checked > 50 and len(calls) > checked + 20 and empty > 20
-    assert calls[-1][2] == calls[-1][3] == 1
+    assert calls[-1][2:5] == (0, 0, 0) and calls[-1][5][0] == 1
+    below_the_root = 0
 
-    for idx, allowed, z, frontier in calls:
-        base = z & ~frontier
-        first = 0
+    for idx, allowed, z, frontier, known, _ in calls:
+        below_the_root += known != 0
         for m, succ in enumerate(idx.succ_mask):
-            if allowed >> m & 1 and succ & ~base == 0:
-                first |= 1 << idx.move_state[m]
-        assert frontier == first & ~base
+            if allowed >> m & 1 and succ and succ & ~known == 0:
+                assert z >> idx.move_state[m] & 1
+    assert below_the_root > 40
+
+
+def test_the_root_frames_not_lose_set_is_the_filter(root_calls):
+    """The root frame of every until query, whose fragment is empty and whose
+    coverage is the target, runs the perfect-information filter: its
+    ``reach`` returns ``filter_ceu(q1, target)`` in the rounds of the sweep
+    from the target.  Held on the corpus, castles 1,1,1 and 1,1,2 and the
+    card game."""
+    rng = random.Random(233)
+    for _ in range(40):
+        model = random_model(rng, max_states=7)
+        for _ in range(6):
+            check(model, random_formula(rng, model, depth=2))
+    for counts in ((1, 1, 1), (1, 1, 2)):
+        castles = modelio.gen_castles(*counts)
+        for goal in ("castle3_defeated", "all_defeated"):
+            check(castles, "<<c1w1,c2w1>> F " + goal,
+                  query=castles.state_set(castles.initial))
+    check(modelio.gen_cardgame(), "<<player>> F win")
+    assert len(root_calls) > 40
+    for idx, q1, target, (fixpoint, rounds) in root_calls:
+        expected, growing = ref_reach(idx, idx.moves_of(q1), target)
+        assert fixpoint == expected == idx.filter_ceu(q1, target)
+        assert rounds == (growing + 1 if expected else 0)
 
 
 def stuck_model():

@@ -85,10 +85,25 @@ def _calls(path, name):
 
 
 def test_the_until_search_is_one_tree():
-    # Until queries and eval_ceu reach the search through one entry, and
-    # only coalition-next splits its moves into maximal subsets.
+    # Until queries and eval_ceu enter the search directly, the filter is its
+    # root frame's fixpoint, and only coalition-next splits its moves into
+    # maximal subsets.
     checker = SRC / "checker.py"
-    assert [scope for scope, _, _ in _calls(checker, "_ceu_search")] == ["_until"]
+    tree = _tree(checker)
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_until" not in defined
+    assert _calls(checker, "filter_ceu") == []
+    assert sorted(scope for scope, _, _ in _calls(checker, "_ceu_search")) == [
+        "_search", "eval_ceu"]
     maximal = [(scope, tests) for scope, tests, args in _calls(checker, "split_all")
                if args[1:] == ("True",)]
     assert maximal == [("_search", ("isinstance(f, CanNext)",))]
+
+
+def test_a_search_frame_runs_one_fixpoint_before_its_candidates():
+    grow, = [node for node in ast.walk(_tree(SRC / "checker.py"))
+             if isinstance(node, ast.FunctionDef) and node.name == "grow"]
+    calls = sorted((node.lineno, node.func.attr) for node in ast.walk(grow)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr in ("reach", "pre_move"))
+    assert [name for _, name in calls] == ["reach", "pre_move"]

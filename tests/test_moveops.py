@@ -5,7 +5,12 @@ import random
 
 import pytest
 
-from atlir.errors import AgentNotInCoalition, CoalitionMismatch
+from atlir.errors import (
+    AgentNotInCoalition,
+    CoalitionMismatch,
+    DisabledJointAction,
+    UnknownAgent,
+)
 from atlir.icgs import GroupAction, Move, MoveSet, all_moves, moves_of
 from atlir.moveops import (
     compatible,
@@ -82,6 +87,20 @@ def test_conflicting_requires_same_coalition(cardgame):
     m2 = Move("deal_AK", GroupAction(("dealer",), ("noop",)))
     with pytest.raises(CoalitionMismatch):
         conflicting(cardgame, m1, m2)
+
+
+def test_conflicting_rejects_an_unknown_agent(cardgame):
+    ghost = Move("deal_AK", GroupAction(("zzz",), ("keep",)))
+    with pytest.raises(UnknownAgent, match="'zzz'"):
+        conflicting(cardgame, ghost, Move("deal_AQ", GroupAction(("zzz",), ("swap",))))
+
+
+def test_conflicting_rejects_a_disabled_action(cardgame):
+    # deal_AK and deal_AQ look alike to the player, who has no action fly
+    with pytest.raises(DisabledJointAction):
+        conflicting(cardgame, player_move("deal_AK", "fly"), player_move("deal_AQ", "keep"))
+    with pytest.raises(DisabledJointAction):
+        conflicting(cardgame, player_move("deal_AK", "keep"), player_move("deal_AQ", "fly"))
 
 
 def test_is_conflicting_cases(cardgame):

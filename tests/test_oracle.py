@@ -174,6 +174,12 @@ def test_oracle_equals_perfect_info_under_identity_observations():
         assert oracle_eval(model, f) == perfect_info_eval(model, f)
 
 
+@pytest.mark.parametrize("evaluator", [oracle_eval, perfect_info_eval])
+def test_the_reference_evaluators_parse_text_as_check_does(cardgame, evaluator):
+    for text in ("<<player>> F win", "<<dealer,player>> X !win", "win | !win"):
+        assert evaluator(cardgame, text) == evaluator(cardgame, parse(text, cardgame))
+
+
 # -- perfect_info_eval ----------------------------------------------------------
 
 def test_informed_player_wins_from_the_start(cardgame):
