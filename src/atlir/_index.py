@@ -16,13 +16,21 @@ whole row come from ``map(sum, product(...))``, with no lookup or projection
 per joint action.
 
 The predecessor operators run backwards over a reverse index, the moves that
-can reach each state, so a caller whose target only grows pays for the
-states it adds instead of a sweep over every move.  ``reach`` is the one
-worklist fixpoint: it grows a state set by the states of the allowed moves
-that surely enter it, examining only the predecessors of what was added.
-The search calls it once per frame, over the moves the frame's fragment may
-still add.  ``filter_ceu`` is one call of it, over the moves of ``q1``: the
-not-lose set of an until search's root frame.
+can reach each state, and over successor counts: ``n_succ`` holds each
+move's number of distinct successors, and no move keeps a successor mask.
+Adding states to a set is one walk over their predecessor lists, ``enter``,
+that decrements the count of each allowed move once per successor among
+them; a move whose count reaches 0 surely enters the grown set.  This is the
+counter attractor of Liu and Smolka, *Simple Linear-Time Algorithms for
+Minimal Fixed Points* (ICALP 1998): a caller whose set only grows pays for
+the states it adds instead of a sweep over every move.  ``counts`` builds
+the counts against a set from scratch with the same walk.  ``reach`` is the
+one worklist fixpoint: it grows a state set
+by the states of the allowed moves that the last walk entered and walks
+what it added, until a round adds nothing.  The search calls it once per
+frame, over the moves the frame's fragment may still add, with counts
+carried down the stack.  ``filter_ceu`` is one call of it from scratch, over
+the moves of ``q1``: the not-lose set of an until search's root frame.
 
 Conflicts are masks as well.  Every coalition agent gives each move one
 integer key: the (observation class, action) pair that the move assigns the
@@ -103,7 +111,7 @@ class CoalitionIndex:
         moves_at = []  # per state: the range of its move ids
         # states with equal coalition menus share their action tuples
         combos_of = functools.cache(lambda menus: list(itertools.product(*menus)))
-        succ = self.succ_mask = []
+        count = []  # per move: its number of distinct successors
         pred = self.pred_moves = [array("i") for _ in range(n)]
         post = self.post_mask = [0] * n
         for i, q in enumerate(model.states):
@@ -113,7 +121,7 @@ class CoalitionIndex:
             move_state += [i] * len(combos)
             move_action.extend(combos)
             moves_at.append(range(first, first + len(combos)))
-            succ += [0] * len(combos)
+            count += [0] * len(combos)
             row = rows[i]
             if row is None:
                 continue
@@ -136,9 +144,8 @@ class CoalitionIndex:
             # each (move, successor) pair once, in the order first reached
             for m, t in dict.fromkeys(zip(move_ids, row)):
                 if t >= 0:
-                    bit = 1 << t
-                    reached |= bit
-                    succ[m] |= bit
+                    reached |= 1 << t
+                    count[m] += 1
                     pred[t].append(m)
             post[i] = reached
         self.move_state = move_state
@@ -147,12 +154,10 @@ class CoalitionIndex:
         n_moves = len(move_state)
         self.all_moves_mask = (1 << n_moves) - 1
         self._move_bytes = (n_moves + 7) // 8
+        self.n_succ = array("i", count)
         # A move without successors surely enters every target, the empty
         # one included.
-        self.stuck_moves = 0
-        for m, s in enumerate(succ):
-            if not s:
-                self.stuck_moves |= 1 << m
+        self.stuck_moves = self.mask_of([m for m, c in enumerate(count) if not c])
 
         # Conflict keys (see above).  Per agent: the key of each move, an
         # array; per key: its moves, its class's moves and its class's key
@@ -186,7 +191,7 @@ class CoalitionIndex:
                 ids = [array("i") for _ in key_range]
                 for m, k in enumerate(move_key):
                     ids[k].append(m)
-                key_moves = list(map(self._mask, ids))
+                key_moves = list(map(self.mask_of, ids))
             class_mask = []
             for keys in class_keys:  # a class's keys have disjoint moves
                 class_mask += [sum(map(key_moves.__getitem__, keys.values()))] * len(keys)
@@ -251,74 +256,106 @@ class CoalitionIndex:
                 out |= 1 << i
         return out
 
-    def _mask(self, move_ids):
+    def mask_of(self, move_ids):
         """The move mask of an iterable of move ids, built in one pass."""
         buf = bytearray(self._move_bytes)
         for m in move_ids:
             buf[m >> 3] |= 1 << (m & 7)
         return int.from_bytes(buf, "little")
 
+    # -- successor counts ---------------------------------------------------
+
+    def move_table(self, movemask):
+        """One byte per move, 1 for the moves of ``movemask``: the allowed
+        moves of the count walks."""
+        return _byte_table(movemask, len(self.move_state))
+
+    def enter(self, left, table, states):
+        """One walk over the predecessor lists of ``states``: decrement in
+        ``left`` the count of every move of ``table`` once per successor
+        among them, and return, as a list of ids, the moves whose count
+        reached 0.  ``states`` must be outside the set ``left`` counts
+        against; the set then grows by them."""
+        pred = self.pred_moves
+        entered = []
+        for s in bits(states):
+            for m in pred[s]:
+                if table[m]:
+                    c = left[m] - 1
+                    left[m] = c
+                    if not c:
+                        entered.append(m)
+        return entered
+
+    def counts(self, table, states):
+        """The counts from scratch: ``left``, each move's number of
+        successors outside ``states``, and the moves of ``table`` that
+        surely enter ``states``, the moves without successors first and
+        then those that the walk of ``states`` took to 0.  Only the counts
+        of the moves of ``table`` are kept current."""
+        left = self.n_succ[:]
+        stuck = [m for m in bits(self.stuck_moves) if table[m]]
+        return left, stuck + self.enter(left, table, states)
+
     def pre_move(self, target_states, known=0):
         """Moves all of whose completions land in ``target_states``.
 
         With ``known == 0`` the answer includes the moves without any
         successor, which belong to the answer for every target.  A non-empty
-        ``known``, e.g. the target a caller's target grew from, asks only
-        for what the target adds: ``pre_move(target) & ~pre_move(known)``,
-        the moves with a successor among the added states, so only their
-        predecessors are examined.
+        ``known`` inside the target, e.g. the target a caller's target grew
+        from, asks only for what the target adds: ``pre_move(target) &
+        ~pre_move(known)``, the moves whose count the walk of the added
+        states takes to 0 after the walk of ``known``.
         """
-        outside = ~target_states
-        succ = self.succ_mask
-        pred = self.pred_moves
-        found = [m for s in bits(target_states & ~known) for m in pred[s]
-                 if succ[m] & outside == 0]
-        out = 0 if known else self.stuck_moves
-        return out | self._mask(found) if found else out
+        table = b"\1" * len(self.move_state)
+        left, entered = self.counts(table, known or target_states)
+        if known:
+            entered = self.enter(left, table, target_states & ~known)
+        return self.mask_of(entered)
 
     def pre_ce(self, target_states):
         """States with some enabled coalition action surely entering the target."""
         return self.cover(self.pre_move(target_states))
 
-    def reach(self, allowed, z, frontier):
+    def reach(self, table, left, z, entered):
         """Grow ``z`` to the least fixpoint of ``Z -> Z | cover(allowed &
-        pre_move(Z))``; return it and the number of worklist rounds.
+        pre_move(Z))``, ``allowed`` the moves of ``table``; return it and the
+        number of worklist rounds.
 
-        The first round adds the states of the allowed moves without
-        successors and examines the predecessors of ``frontier``; each later
-        round examines those of the states the round before added.  So the
-        caller must already hold in ``z`` the state of every ``allowed`` move
-        with successors, all of them in ``z & ~frontier``.  Membership in
-        ``allowed`` and in the growing set is read from two tables of one
-        byte per move and per state, built once per call.  This is the
-        engine's one fixpoint loop: every search frame runs it.
+        ``left`` holds the counts against ``z`` of the allowed moves and
+        ``entered`` the allowed moves that surely enter ``z`` and may add a
+        state: those whose count the caller's last walk took to 0 (see
+        :meth:`enter` and :meth:`counts`).  That walk is the first round.
+        Each round adds the states of the moves entered and walks them, and
+        the moves their walk takes to 0 make the next round; the last round
+        adds nothing, and an empty fixpoint takes no round.  ``left`` is
+        left against the fixpoint, so a caller that keeps the counts against
+        ``z`` passes a copy.  This is the engine's one fixpoint loop: every
+        search frame runs it.
         """
-        gain = self.cover(allowed & self.stuck_moves) & ~z
-        table = _byte_table(allowed, len(self.move_state))
-        inside = _byte_table(z | gain, self.n_states)
-        succ = self.succ_mask
-        pred = self.pred_moves
         move_state = self.move_state
+        inside = _byte_table(z, self.n_states)
         rounds = 0
-        while frontier or gain:
+        while True:
             rounds += 1
-            outside = ~z
-            for s in bits(frontier):
-                for m in pred[s]:
-                    if table[m]:
-                        t = move_state[m]
-                        if not inside[t] and succ[m] & outside == 0:
-                            inside[t] = 1
-                            gain |= 1 << t
+            gain = 0
+            for m in entered:
+                t = move_state[m]
+                if not inside[t]:
+                    inside[t] = 1
+                    gain |= 1 << t
+            if not gain:
+                return z, rounds if z else 0
             z |= gain
-            frontier, gain = gain, 0
-        return z, rounds
+            entered = self.enter(left, table, gain)
 
     def filter_ceu(self, q1mask, target):
         """Least fixpoint of ``Z -> target | (q1 & pre_ce(Z))``: the
         :meth:`reach` of the moves of ``q1`` from ``target``, the root frame's
         not-lose set of an until search."""
-        return self.reach(self.moves_of(q1mask), target, target)[0]
+        table = self.move_table(self.moves_of(q1mask))
+        left, entered = self.counts(table, target)
+        return self.reach(table, left, target, entered)[0]
 
     # -- conflicts ----------------------------------------------------------
 
@@ -347,14 +384,11 @@ class CoalitionIndex:
 
     # -- splitting ----------------------------------------------------------
 
-    def split_agent(self, a, movemask, maximal):
-        """Stream the subsets of non-conflicting classes of one agent.
-
-        The classes of ``movemask`` for agent ``a`` are peeled in canonical
-        order (by least move id); each contributes one option per key of the
-        class that ``movemask`` uses, in key order (the sorted actions), plus
-        a drop option when not maximal.
-        """
+    def _options(self, a, movemask, maximal):
+        """Per class of ``movemask`` for agent ``a``, peeled in canonical
+        order (by least move id): one option per key of the class that
+        ``movemask`` uses, in key order (the sorted actions), plus the drop
+        option 0 when not maximal."""
         move_key, key_moves = self.move_key[a], self.key_moves[a]
         options = []
         rem = movemask
@@ -366,20 +400,37 @@ class CoalitionIndex:
             if not maximal:
                 opts.append(0)
             options.append(opts)
-        for combo in itertools.product(*options):
-            yield sum(combo)  # the options of distinct classes are disjoint
+        return options
+
+    def split_agent(self, a, movemask, maximal):
+        """Stream the subsets of non-conflicting classes of one agent: one
+        option per class (see :meth:`_options`), the options of distinct
+        classes disjoint."""
+        for combo in itertools.product(*self._options(a, movemask, maximal)):
+            yield sum(combo)
 
     def split_all(self, movemask, maximal):
         """Stream the per-agent split fold over the whole coalition.
 
-        Outputs are deduplicated structurally.  For ``maximal`` runs, outputs
-        that are not genuinely maximal (a dropped input move could be added
-        back without a conflict, which per-agent folds cannot rule out on
-        ragged inputs) are filtered away.
+        Not maximal, every subset the fold reaches is yielded once and
+        nothing is kept: a subset ``M`` is yielded on its one clean path,
+        where every class option kept (not dropped) keeps a move in ``M``.
+        Every other path to ``M`` kept some class of an agent that ``M``
+        misses, and is cut as soon as a later agent drops that option's last
+        move.  The clean path reaches ``M``, since a move whose every key
+        ``M`` uses survives every agent.
+
+        Maximal, outputs are deduplicated by a set, and those that are not
+        genuinely maximal (a dropped input move could be added back without
+        a conflict, which per-agent folds cannot rule out on ragged inputs)
+        are filtered away.  Only coalition-next asks for it, once per query.
         """
         k = len(self.gamma)
         if k == 0:
             yield movemask
+            return
+        if not maximal:
+            yield from self._clean_paths(movemask, 0, [])
             return
         seen = set()
 
@@ -389,11 +440,26 @@ class CoalitionIndex:
                     return
                 seen.add(mask)
                 # maximal: no dropped input move can be added back
-                if maximal and movemask & ~mask & ~self.clash(mask):
+                if movemask & ~mask & ~self.clash(mask):
                     return
                 yield mask
                 return
-            for sub in self.split_agent(ai, mask, maximal):
+            for sub in self.split_agent(ai, mask, True):
                 yield from rec(sub, ai + 1)
 
         yield from rec(movemask, 0)
+
+    def _clean_paths(self, mask, ai, kept):
+        """The leaves below agent ``ai`` of the non-maximal fold of ``mask``
+        on the paths whose class options kept so far, ``kept``, all keep a
+        move.  The options an agent keeps are parts of its output, so only
+        those of the agents before it are tested."""
+        last = ai == len(self.gamma) - 1
+        for combo in itertools.product(*self._options(ai, mask, False)):
+            sub = sum(combo)
+            if not all(map(sub.__and__, kept)):
+                continue
+            if last:
+                yield sub
+            else:
+                yield from self._clean_paths(sub, ai + 1, kept + list(filter(None, combo)))

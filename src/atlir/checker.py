@@ -254,33 +254,42 @@ def _ceu_search(idx, interest, q1, strategy, cov, exclude, stats):
     (``exclude``, the moves its ancestors set aside and those that conflict
     with the fragment), its coverage ``cov`` (the root coverage and the
     states of the moves added since), the moves it adds ``added``
-    (``strategy`` at the root) and its parent's coverage ``known``.  The
-    driver keeps the frames on an explicit stack: the depth, bounded by the
-    number of coalition moves, can exceed the recursion limit.  ``won``
-    accumulates across the whole tree.
+    (``strategy`` at the root), the states ``new`` that they add to its
+    parent's coverage (all of ``cov`` at the root) and ``left``, the
+    successor counts of the moves against ``cov`` (see
+    :meth:`CoalitionIndex.reach`).  The driver keeps the frames on an
+    explicit stack: the depth, bounded by the number of coalition moves, can
+    exceed the recursion limit.  ``won`` accumulates across the whole tree.
 
-    A frame first computes its not-lose set ``N``, the ``idx.reach`` of
-    ``cov`` over ``allowed = moves_q1 & ~banned``, the only moves a uniform
-    extension of its fragment may still add, and keeps only the states of
-    interest whose whole class lies inside ``N``.  None left, it returns
-    unsplit.  The prune is sound: the search only adds allowed moves that
-    surely enter the current coverage, and ``banned`` only grows down the
-    tree, so every coverage in the subtree lies inside ``N``.  At the root,
-    when nothing is banned, ``N`` is the perfect-information filter,
-    ``filter_ceu(q1, cov)``.  A frame with states left splits its candidates
-    ``comp``, the allowed moves that surely enter ``cov`` and not ``known``,
-    and yields one child per non-empty conflict-free extension by them,
-    until every state of interest inside ``N`` is won.
+    A frame makes one walk over the predecessor lists of ``new``: it copies
+    its parent's counts and decrements those of ``allowed = moves_q1 &
+    ~banned``, the only moves a uniform extension of its fragment may still
+    add.  The root counts from scratch, and its candidates include the
+    allowed moves without successors.  The moves that the walk takes to 0
+    are the frame's candidates ``comp``: the allowed moves that surely enter
+    ``cov`` and not the parent's coverage.  The counts of the other moves
+    may go stale: ``banned`` only grows down the tree, so no descendant
+    reads them.  An allowed move with successors, all of them in the
+    parent's coverage, was a candidate of an ancestor, so it is either in
+    the fragment, its state covered, or set aside, banned.
 
-    ``reach`` starts from ``cov & ~known``, the states the parent added: an
-    allowed move with successors, all of them in ``known``, was a candidate
-    of an ancestor, so it is either in the fragment, its state covered, or
-    set aside, banned.  The root's ``known`` is empty.
+    The candidates make the first round of the frame's not-lose set ``N``,
+    the ``idx.reach`` of ``cov`` over the allowed moves, which continues on
+    a copy of the counts, so that ``left`` stays against ``cov`` for the
+    children.  The frame keeps only the states of interest whose whole class
+    lies inside ``N``.  None left, it returns unsplit and drops its counts.  The prune is sound: the
+    search only adds allowed moves that surely enter the current coverage,
+    and ``banned`` only grows, so every coverage in the subtree lies inside
+    ``N``.  At the root, when nothing is banned, ``N`` is the
+    perfect-information filter, ``filter_ceu(q1, cov)``.  A frame with
+    states left splits its candidates and yields one child per non-empty
+    conflict-free extension by them, until every state of interest inside
+    ``N`` is won.
     """
     moves_q1 = idx.moves_of(q1 & ~cov)
     won = 0
 
-    def grow(interest, banned, cov, added, known):
+    def grow(interest, banned, cov, added, new, left):
         nonlocal won
         # Won: the whole class is covered by the fragment.
         won |= idx.closed_within(interest, cov)
@@ -288,25 +297,30 @@ def _ceu_search(idx, interest, q1, strategy, cov, exclude, stats):
         if interest == 0:
             return
         banned |= idx.clash(added)
-        allowed = moves_q1 & ~banned
-        notlose, rounds = idx.reach(allowed, cov, cov & ~known)
+        allowed = idx.move_table(moves_q1 & ~banned)
+        if left is None:
+            left, entered = idx.counts(allowed, new)
+        else:
+            left = left[:]
+            entered = idx.enter(left, allowed, new)
+        notlose, rounds = idx.reach(allowed, left[:], cov, entered)
         stats.fixpoint_iterations += rounds
         interest = idx.closed_within(interest, notlose)
         if interest == 0:
             stats.fragments_pruned += 1
             return
-        comp = idx.pre_move(cov, known) & allowed
+        comp = idx.mask_of(entered)
         stats.split_calls += 1
         for sub in idx.split_all(comp, False):
             if sub == 0:  # only the non-empty subsets extend the fragment
                 continue
             stats.strategies_explored += 1
-            yield grow(interest, banned | (comp & ~sub), cov | idx.cover(sub),
-                       sub, cov)
+            new = idx.cover(sub)
+            yield grow(interest, banned | (comp & ~sub), cov | new, sub, new, left)
             if interest & ~won == 0:
                 return
 
-    stack = [grow(interest, exclude, cov, strategy, 0)]
+    stack = [grow(interest, exclude, cov, strategy, cov, None)]
     while stack:
         if len(stack) > stats.max_depth:
             stats.max_depth = len(stack)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .checker import Walk, _normalized
-from .errors import EnumerationCapExceeded, IncompleteStrategy
+from .errors import DisabledJointAction, EnumerationCapExceeded, IncompleteStrategy
 from .formula import CanNext
 from .icgs import GroupAction, Icgs, Move, MoveSet, StateSet, bits, state_mask
 
@@ -111,12 +111,38 @@ def enumerate_uniform(model: Icgs, coalition, cap: int = DEFAULT_CAP):
     return generate()
 
 
-def _strategy_succ(model, strategy: UniformStrategy):
-    """Per state, the successor mask over all completions of the strategy."""
-    idx = model.index(strategy.coalition)
+def _succ_table(model, gamma):
+    """Per state, from each pick tuple of the agents ``gamma`` enabled there
+    to the mask of its successors over every completion, read from
+    ``model.rows`` in one pass per state: the oracle's own successor table,
+    shared by every strategy of the coalition."""
+    model.coalition(gamma)  # unknown agents raise
+    where = [model._agent_pos[ag] for ag in gamma]
+    protocols = [model.protocol.get(ag, {}) for ag in model.agents]
+    table = []
+    for q, row in zip(model.states, model.rows):
+        menus = [per_state.get(q, ()) for per_state in protocols]
+        succ = dict.fromkeys(itertools.product(*(menus[p] for p in where)), 0)
+        if row is not None:
+            for joint, t in zip(itertools.product(*menus), row):
+                if t >= 0:
+                    succ[tuple(joint[p] for p in where)] |= 1 << t
+        table.append(succ)
+    return table
+
+
+def _strategy_succ(model, strategy: UniformStrategy, table):
+    """Per state, the successor mask over all completions of the strategy,
+    looked up in a :func:`_succ_table` of its coalition."""
     tables = strategy.action_table()
-    return [idx.succ_mask[idx.move_id(q, strategy._picks(model, tables, q))]
-            for q in model.states]
+    out = []
+    for q, succ in zip(model.states, table):
+        picks = strategy._picks(model, tables, q)
+        if picks not in succ:
+            raise DisabledJointAction(
+                "coalition action %r is not enabled in state %r" % (picks, q))
+        out.append(succ[picks])
+    return out
 
 
 def strategy_sat_u(model: Icgs, strategy: UniformStrategy,
@@ -125,7 +151,12 @@ def strategy_sat_u(model: Icgs, strategy: UniformStrategy,
     through ``q1``: the until objective under a fixed memoryless strategy is
     the least fixpoint of ``Z -> q2 | (q1 & all-successors-in-Z)``."""
     q1mask, q2mask = state_mask(model, q1), state_mask(model, q2)
-    succ = _strategy_succ(model, strategy)
+    succ = _strategy_succ(model, strategy, _succ_table(model, strategy.coalition))
+    return StateSet(model, _sat_u(succ, q1mask, q2mask))
+
+
+def _sat_u(succ, q1mask, q2mask):
+    """The fixpoint of :func:`strategy_sat_u` over per-state successor masks."""
     z = q2mask
     while True:
         nz = q2mask
@@ -134,9 +165,8 @@ def strategy_sat_u(model: Icgs, strategy: UniformStrategy,
             if succ[i] & ~z == 0:
                 nz |= 1 << i
         if nz == z:
-            break
+            return z
         z = nz
-    return StateSet(model, z)
 
 
 def oracle_eval(model: Icgs, f, cap: int = DEFAULT_CAP) -> StateSet:
@@ -152,22 +182,22 @@ def _enumerate(cap, walk, f, idx, within):
     if isinstance(f, CanNext):
         target = walk.full(f.sub)
 
-        def winning(strategy):
-            succ = _strategy_succ(model, strategy)
+        def winning(succ):
             good = 0
             for i in range(idx.n_states):
                 if succ[i] & ~target == 0:
                     good |= 1 << i
             return good
     else:
-        q1 = StateSet(model, walk.full(f.lhs))
-        q2 = StateSet(model, walk.full(f.rhs))
+        q1, q2 = walk.full(f.lhs), walk.full(f.rhs)
 
-        def winning(strategy):
-            return strategy_sat_u(model, strategy, q1, q2).mask
+        def winning(succ):
+            return _sat_u(succ, q1, q2)
+    table = _succ_table(model, idx.gamma)
     sat = 0
     for strategy in enumerate_uniform(model, idx.gamma, cap):
-        sat |= idx.closed_within(full & ~sat, winning(strategy))
+        sat |= idx.closed_within(full & ~sat,
+                                 winning(_strategy_succ(model, strategy, table)))
         if sat == full:
             break
     return sat & within

@@ -51,8 +51,8 @@ def root_calls(monkeypatch):
         finally:
             pending.clear()
 
-    def recording(idx, allowed, z, frontier):
-        answer = reach(idx, allowed, z, frontier)
+    def recording(idx, table, left, z, entered):
+        answer = reach(idx, table, left, z, entered)
         if pending:
             found.append((idx,) + pending.pop() + (answer,))
         return answer

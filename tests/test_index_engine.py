@@ -1,16 +1,19 @@
 """The index's mask engine against plain sweeps and per-move definitions.
 
 The index answers ``pre_move``, ``pre_ce``, ``reach``, ``filter_ceu`` and
-``moves_of`` backwards over a reverse index and incrementally along growing
-targets, and every conflict question through the one mask operator
-``clash``.  The references below are the direct definitions, each a sweep
-over all moves or states or a per-agent table rebuilt from the moves of a
-mask, kept here so that every shortcut is held to them.
+``moves_of`` backwards over a reverse index and successor counts,
+incrementally along growing targets, and every conflict question through
+the one mask operator ``clash``.  The references below are the direct
+definitions, each a sweep over all moves or states, over successor masks
+built from the model's rows, or a per-agent table rebuilt from the moves of
+a mask, kept here so that every shortcut is held to them.
 """
 
 import itertools
 import random
 import sys
+import tracemalloc
+import weakref
 from array import array
 
 import pytest
@@ -31,9 +34,20 @@ def ref_moves_of(idx, qmask):
     return out
 
 
+def ref_succ(idx):
+    """Per move, the mask of its successors: the index's moves, read from
+    the reference tables built joint by joint from the model's rows."""
+    if idx not in _SUCC:
+        _SUCC[idx] = ref_tables(idx.model, idx.gamma)["succ"]
+    return _SUCC[idx]
+
+
+_SUCC = weakref.WeakKeyDictionary()
+
+
 def ref_pre_move(idx, target):
     out = 0
-    for m, succ in enumerate(idx.succ_mask):
+    for m, succ in enumerate(ref_succ(idx)):
         if succ & ~target == 0:
             out |= 1 << m
     return out
@@ -41,7 +55,7 @@ def ref_pre_move(idx, target):
 
 def ref_pre_ce(idx, target):
     out = 0
-    for m, succ in enumerate(idx.succ_mask):
+    for m, succ in enumerate(ref_succ(idx)):
         if succ & ~target == 0:
             out |= 1 << idx.move_state[m]
     return out
@@ -63,13 +77,24 @@ def ref_reach(idx, allowed, z):
     growing = 0
     while True:
         grown = z
-        for m, succ in enumerate(idx.succ_mask):
+        for m, succ in enumerate(ref_succ(idx)):
             if allowed >> m & 1 and succ & ~z == 0:
                 grown |= 1 << idx.move_state[m]
         if grown == z:
             return z, growing
         z = grown
         growing += 1
+
+
+def ref_counts(idx, allowed, z):
+    """Per allowed move, its number of successors outside ``z``."""
+    return {m: bin(succ & ~z).count("1") for m, succ in enumerate(ref_succ(idx))
+            if allowed >> m & 1}
+
+
+def table_mask(table):
+    """The move mask of a table of one byte per move."""
+    return sum(1 << m for m, member in enumerate(table) if member)
 
 
 def ref_token(idx, a, m):
@@ -141,10 +166,11 @@ def ref_clash(idx, movemask):
     return out
 
 
-def ref_split_agent(idx, a, movemask, maximal):
-    """Agent ``a``'s split of a mask: the moves grouped by the token read from
-    the model, classes peeled by least move id, one option per action the
-    class assigns (sorted), plus dropping the class when not maximal."""
+def ref_split_options(idx, a, movemask, maximal):
+    """Agent ``a``'s options per class of a mask: the moves grouped by the
+    token read from the model, classes peeled by least move id, one option
+    per action the class assigns (sorted), plus dropping the class (0) when
+    not maximal."""
     classes = {}
     for m in bits(movemask):  # ascending, so classes appear by least move id
         classes.setdefault(ref_token(idx, a, m), []).append(m)
@@ -156,26 +182,48 @@ def ref_split_agent(idx, a, movemask, maximal):
             by_action[act] = by_action.get(act, 0) | 1 << m
         options.append([by_action[act] for act in sorted(by_action)]
                        + ([] if maximal else [0]))
-    return [sum(combo) for combo in itertools.product(*options)]
+    return options
 
 
-def ref_split_fold(idx, movemask, maximal):
-    """The per-agent fold of ``ref_split_agent``, deduplicated in order."""
-    masks = [movemask]
+def ref_split_agent(idx, a, movemask, maximal):
+    """Agent ``a``'s split of a mask: one option per class."""
+    return [sum(combo) for combo in itertools.product(
+        *ref_split_options(idx, a, movemask, maximal))]
+
+
+def ref_split_paths(idx, movemask, maximal):
+    """Every path of the per-agent fold of ``ref_split_agent``, in order: its
+    leaf and the class options it kept (did not drop)."""
+    paths = [(movemask, [])]
     for a in range(len(idx.gamma)):
-        masks = [sub for mask in masks for sub in ref_split_agent(idx, a, mask, maximal)]
-    return list(dict.fromkeys(masks))
+        paths = [(sum(combo), kept + [opt for opt in combo if opt])
+                 for mask, kept in paths
+                 for combo in itertools.product(*ref_split_options(idx, a, mask, maximal))]
+    return paths
+
+
+def ref_split_first(idx, movemask, maximal):
+    """The leaves of the fold, each in the place it first occurs."""
+    return list(dict.fromkeys(leaf for leaf, _ in ref_split_paths(idx, movemask, maximal)))
+
+
+def ref_split_fold(idx, movemask):
+    """The leaves of the non-maximal fold on its clean paths, those whose
+    every kept class option keeps a move in the leaf, in order."""
+    return [leaf for leaf, kept in ref_split_paths(idx, movemask, False)
+            if all(opt & leaf for opt in kept)]
 
 
 def ref_split_max(idx, movemask):
     """The maximal fold, with every output held to ``ref_is_maximal``."""
-    return [mask for mask in ref_split_fold(idx, movemask, True)
+    return [mask for mask in ref_split_first(idx, movemask, True)
             if ref_is_maximal(idx, mask, movemask)]
 
 
 def ref_tables(model, gamma):
-    """The move, successor and reverse tables built joint by joint: each
-    transition looked up, projected onto the coalition and its move found."""
+    """The move, successor-count and reverse tables built joint by joint:
+    each entry of the model's rows projected onto the coalition and its move
+    found.  Beside them, under ``succ``, each move's successor mask."""
     n = len(model.states)
     move_state, move_action, moves_at, lookup = [], [], [], {}
     for i, q in enumerate(model.states):
@@ -190,29 +238,25 @@ def ref_tables(model, gamma):
     succ = [0] * len(move_state)
     pred = [array("i") for _ in range(n)]
     post = [0] * n
-    transition = model.transition
-    for i, q in enumerate(model.states):
-        proto = [model.protocol[ag].get(q, ()) for ag in model.agents]
-        if any(not acts for acts in proto):
+    for i, (q, row) in enumerate(zip(model.states, model.rows)):
+        if row is None:
             continue
-        for joint in itertools.product(*proto):
-            target = transition.get((q, joint))
-            if target is None:
+        proto = [model.protocol[ag].get(q, ()) for ag in model.agents]
+        for joint, t in zip(itertools.product(*proto), row):
+            if t < 0:  # missing, or into an undeclared state
                 continue
-            t = model._state_pos[target]
             bit = 1 << t
             post[i] |= bit
             mid = lookup[(i, tuple(joint[p] for p in gamma_pos))]
             if not succ[mid] & bit:
                 succ[mid] |= bit
                 pred[t].append(mid)
-    stuck_moves = 0
-    for m, s in enumerate(succ):
-        if not s:
-            stuck_moves |= 1 << m
+    n_succ = array("i", [bin(s).count("1") for s in succ])
+    stuck_moves = sum(1 << m for m, count in enumerate(n_succ) if not count)
     return {"move_state": move_state, "move_action": move_action,
-            "moves_at": moves_at, "_lookup": lookup, "succ_mask": succ,
-            "pred_moves": pred, "post_mask": post, "stuck_moves": stuck_moves}
+            "moves_at": moves_at, "_lookup": lookup, "n_succ": n_succ,
+            "pred_moves": pred, "post_mask": post, "stuck_moves": stuck_moves,
+            "succ": succ}
 
 
 def ref_key_tables(model, gamma, move_state, move_action):
@@ -248,6 +292,7 @@ def ref_key_tables(model, gamma, move_state, move_action):
 def assert_tables_match(idx, label):
     model, gamma = idx.model, idx.gamma
     ref = ref_tables(model, gamma)
+    del ref["succ"]
     ref.update(ref_key_tables(model, gamma, ref["move_state"], ref["move_action"]))
     for name, expected in ref.items():
         assert getattr(idx, name) == expected, (label, name)
@@ -352,19 +397,26 @@ def test_filter_ceu_from_a_closed_floor(label, idx):
 
 
 def test_reach_from_a_frames_new_coverage_is_the_fixpoint_from_scratch(monkeypatch):
-    """A search frame below the root grows its coverage ``cov`` only from the
-    states its parent added, not from all of ``cov``.  Every recorded call
-    is held to the sweep from ``z``."""
+    """A search frame below the root carries its parent's successor counts
+    and walks only the states it adds to its parent's coverage; its
+    ``reach`` continues from those counts.  Every recorded call is held to
+    the sweep from ``z``, rounds included, and to per-move tallies: the
+    counts it is given are the successors outside ``z`` of every allowed
+    move, and those it leaves the successors outside the fixpoint."""
     rng = random.Random(223)
     models = [random_model(rng, max_states=7) for _ in range(40)]
     formulas = [[random_formula(rng, model, depth=2) for _ in range(5)]
                 for model in models]
-    calls = []  # (index, allowed, z, frontier, (fixpoint, rounds))
+    calls = []  # (index, allowed, z, counts given, counts left, (fixpoint, rounds))
+    below_the_root = 0
     reach = CoalitionIndex.reach
 
-    def recording(idx, allowed, z, frontier):
-        answer = reach(idx, allowed, z, frontier)
-        calls.append((idx, allowed, z, frontier, answer))
+    def recording(idx, table, left, z, entered):
+        nonlocal below_the_root
+        below_the_root += sys._getframe(1).f_locals.get("new", z) != z
+        given = left[:]
+        answer = reach(idx, table, left, z, entered)
+        calls.append((idx, table_mask(table), z, given, left[:], answer))
         return answer
     monkeypatch.setattr(CoalitionIndex, "reach", recording)
     for model, fs in zip(models, formulas):
@@ -382,32 +434,35 @@ def test_reach_from_a_frames_new_coverage_is_the_fixpoint_from_scratch(monkeypat
                      {"g": {"u": "u", "v": "v", "t": "t"}}, {"t": ["p"]}),
           "<<g>> F p")
 
-    incremental = 0
-    for idx, allowed, z, frontier, (fixpoint, rounds) in calls:
+    for idx, allowed, z, given, left, (fixpoint, rounds) in calls:
         expected, growing = ref_reach(idx, allowed, z)
         assert fixpoint == expected
         # one round per sweep that added states, and a last that adds none
-        assert rounds == (growing + 1 if frontier else 0)
-        incremental += frontier != z
-    assert incremental > 50
+        assert rounds == (growing + 1 if expected else 0)
+        for m, count in ref_counts(idx, allowed, z).items():
+            assert given[m] == count
+        for m, count in ref_counts(idx, allowed, fixpoint).items():
+            assert left[m] == count
+    assert below_the_root > 50
 
 
 def test_search_frames_start_reach_from_their_candidates_states(monkeypatch):
     """Every ``reach`` call of a search frame starts from the frame's coverage,
-    ``z == cov``, with the states its parent added, ``cov & ~known``, as its
-    frontier.  That is exact: every allowed move with successors, all of
-    them in ``known``, already has its state in ``cov``.  Held to a per-move
-    sweep on the corpus, on castles 1,1,1 and on ``eval_ceu`` with random
-    fragments, the empty one included."""
-    calls = []  # (index, allowed, z, frontier, known, answer) of every frame's call
+    ``z == cov``, with the frame's candidates ``entered``: the allowed moves
+    whose successors all lie in ``cov`` and not all in the parent's
+    coverage ``cov & ~new``, and at the root the allowed moves without
+    successors.  One walk of ``new`` finds them all: every allowed move with
+    successors, all of them in the parent's coverage, already has its state
+    in ``cov``.  Held to a per-move sweep on the corpus, on castles 1,1,1
+    and on ``eval_ceu`` with random fragments, the empty one included."""
+    calls = []  # (index, allowed, z, new, candidates) of every frame's call
     reach = CoalitionIndex.reach
 
-    def recording(idx, allowed, z, frontier):
+    def recording(idx, table, left, z, entered):
         frame = sys._getframe(1).f_locals
-        assert z == frame["cov"] and frontier == z & ~frame["known"]
-        answer = reach(idx, allowed, z, frontier)
-        calls.append((idx, allowed, z, frontier, frame["known"], answer))
-        return answer
+        assert z == frame["cov"] and entered is frame["entered"]
+        calls.append((idx, table_mask(table), z, frame["new"], sorted(entered)))
+        return reach(idx, table, left, z, entered)
     monkeypatch.setattr(CoalitionIndex, "reach", recording)
     rng = random.Random(229)
     for _ in range(40):
@@ -442,15 +497,24 @@ def test_search_frames_start_reach_from_their_candidates_states(monkeypatch):
     nothing = MoveSet(stuck, ("g",), 0)
     assert eval_ceu(stuck, everything, nothing, everything, everything, nothing).ids() == {"u"}
     assert checked > 50 and len(calls) > checked + 20 and empty > 20
-    assert calls[-1][2:5] == (0, 0, 0) and calls[-1][5][0] == 1
-    below_the_root = 0
+    last = calls[-1]
+    assert last[2:4] == (0, 0) and last[4] == [stuck.index(("g",)).move_id("u", ("b",))]
+    below_the_root = with_stuck = 0
 
-    for idx, allowed, z, frontier, known, _ in calls:
-        below_the_root += known != 0
-        for m, succ in enumerate(idx.succ_mask):
-            if allowed >> m & 1 and succ and succ & ~known == 0:
+    for idx, allowed, z, new, entered in calls:
+        below_the_root += new != z
+        known = z & ~new
+        candidates = []
+        for m, succ in enumerate(ref_succ(idx)):
+            if not allowed >> m & 1:
+                continue
+            if succ and succ & ~known == 0:
                 assert z >> idx.move_state[m] & 1
-    assert below_the_root > 40
+            if succ & ~z == 0 and (succ & new if succ else not z >> idx.move_state[m] & 1):
+                candidates.append(m)
+                with_stuck += not succ
+        assert entered == candidates
+    assert below_the_root > 40 and with_stuck > 0
 
 
 def test_the_root_frames_not_lose_set_is_the_filter(root_calls):
@@ -535,13 +599,51 @@ def assert_splits_match(idx, shapes, label):
             for maximal in (True, False):
                 assert list(idx.split_agent(a, movemask, maximal)) == ref_split_agent(
                     idx, a, movemask, maximal), (label, a, maximal)
-        assert list(idx.split_all(movemask, False)) == ref_split_fold(
-            idx, movemask, False), label
+        assert list(idx.split_all(movemask, False)) == ref_split_fold(idx, movemask), label
 
 
 @pytest.mark.parametrize("label,idx", INDEXES, ids=[lab for lab, _ in INDEXES])
 def test_splits_match_the_token_reference(label, idx):
     assert_splits_match(idx, split_shapes(random.Random(label), idx, (1, 3, 6)), label)
+
+
+@pytest.mark.parametrize("label,idx", INDEXES, ids=[lab for lab, _ in INDEXES])
+def test_the_split_yields_each_subset_of_the_fold_once(label, idx):
+    """The non-maximal split keeps no set of its outputs, yet yields every
+    subset the fold reaches exactly once: the same subsets as the fold's
+    first occurrences."""
+    rng = random.Random(label)
+    repeated = 0
+    for movemask in split_shapes(rng, idx, (1, 3, 6, 10)):
+        produced = list(idx.split_all(movemask, False))
+        first = ref_split_first(idx, movemask, False)
+        assert len(set(produced)) == len(produced), label
+        assert set(produced) == set(first), label
+        repeated += len(ref_split_paths(idx, movemask, False)) > len(first)
+    # the fold reaches some subset on more than one path
+    assert repeated or len(idx.gamma) < 2, label
+
+
+def test_drawing_root_children_keeps_no_memory():
+    """The non-maximal split keeps nothing per output.  The root of the
+    castles 1,2,2 query ``<<c1w1,c2w1,c2w2>> F all_defeated`` splits the
+    moves that surely enter the target from outside it; drawing 2,000 of
+    its children grows traced memory by less than 100 KB, where a set of
+    the children drawn would hold about 3 MB."""
+    model = modelio.gen_castles(1, 2, 2)
+    idx = model.index(model.coalition(["c1w1", "c2w1", "c2w2"]))
+    target = model.label_mask("all_defeated")
+    stream = idx.split_all(idx.pre_move(target) & idx.moves_of(idx.full_states & ~target),
+                           False)
+    next(stream)
+    tracemalloc.start()
+    try:
+        for _ in range(2000):
+            next(stream)
+        grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert grown < 100_000
 
 
 def ranking_model():
@@ -618,7 +720,7 @@ def test_tables_match_with_a_missing_transition_and_a_stuck_agent():
         idx = CoalitionIndex(model, gamma)
         assert_tables_match(idx, "stuck %r" % (gamma,))
     idx = model.index(("g",))
-    assert idx.moves_at[1] == range(2, 3) and idx.succ_mask[2] == 0
+    assert idx.moves_at[1] == range(2, 3) and idx.n_succ[2] == 0
     assert idx.stuck_moves >> 2 & 1
 
 
@@ -651,10 +753,9 @@ def test_reverse_index_lists_each_move_once_per_successor():
     for label, idx in INDEXES:
         for s, moves in enumerate(idx.pred_moves):
             assert len(set(moves)) == len(moves), label
-            assert sorted(moves) == [m for m, succ in enumerate(idx.succ_mask)
+            assert sorted(moves) == [m for m, succ in enumerate(ref_succ(idx))
                                      if succ >> s & 1], label
-        assert sum(len(moves) for moves in idx.pred_moves) == sum(
-            len(list(bits(succ))) for succ in idx.succ_mask)
+        assert sum(len(moves) for moves in idx.pred_moves) == sum(idx.n_succ)
 
 
 @pytest.mark.parametrize("width", [0, 1, 64, 4096, 4097, 50000])

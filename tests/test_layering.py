@@ -100,10 +100,30 @@ def test_the_until_search_is_one_tree():
     assert maximal == [("_search", ("isinstance(f, CanNext)",))]
 
 
+def _methods_called(nodes):
+    """The names of the methods called anywhere in a list of statements."""
+    return [inner.func.attr for node in nodes for inner in ast.walk(node)
+            if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute)]
+
+
 def test_a_search_frame_runs_one_fixpoint_before_its_candidates():
-    grow, = [node for node in ast.walk(_tree(SRC / "checker.py"))
+    # One walk over the predecessor lists: from scratch at the root, from
+    # the parent's counts below it.  Its moves are the frame's candidates
+    # and the first round of the fixpoint, and the search asks no pre_move.
+    checker = SRC / "checker.py"
+    grow, = [node for node in ast.walk(_tree(checker))
              if isinstance(node, ast.FunctionDef) and node.name == "grow"]
-    calls = sorted((node.lineno, node.func.attr) for node in ast.walk(grow)
-                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                   and node.func.attr in ("reach", "pre_move"))
-    assert [name for _, name in calls] == ["reach", "pre_move"]
+    engine = ("counts", "enter", "reach", "pre_move")
+    calls = [name for name in _methods_called(grow.body) if name in engine]
+    walk, = [node for node in grow.body if isinstance(node, ast.If)
+             and {"counts", "enter"} & set(_methods_called([node]))]
+    assert (_methods_called(walk.body), _methods_called(walk.orelse)) == (
+        ["counts"], ["enter"])
+    assert calls == ["counts", "enter", "reach"]
+    assert [scope for scope, _, _ in _calls(checker, "pre_move")] == ["_search"]
+
+
+def test_no_move_keeps_a_successor_mask():
+    # the engine counts successors; the oracle reads the rows
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if "succ_mask" in path.read_text()] == []

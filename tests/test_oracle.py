@@ -1,5 +1,6 @@
 """Exhaustive-enumeration ground truth and the perfect-information evaluator."""
 
+import itertools
 import random
 
 import pytest
@@ -121,11 +122,14 @@ def test_fixpoint_stabilizes_within_state_count():
         strategy = next(iter(enumerate_uniform(model, gamma)))
         q1 = model.state_set(q for q in model.states if rng.random() < 0.6)
         q2 = model.state_set(q for q in model.states if rng.random() < 0.4)
-        idx = model.index(gamma)
-        succ = {}
-        for q in model.states:
+        succ = {}  # per state, read from its row: the joints the strategy completes
+        for q, row in zip(model.states, model.rows):
             ga = strategy.group_action(model, q)
-            succ[q] = idx.succ_mask[idx.move_id(q, ga.picks)]
+            menus = [model.protocol.get(ag, {}).get(q, ()) for ag in model.agents]
+            succ[q] = 0
+            for joint, t in zip(itertools.product(*menus), row if row is not None else ()):
+                if t >= 0 and ga.completes(model, joint):
+                    succ[q] |= 1 << t
         z = q2.mask
         steps = 0
         while True:
