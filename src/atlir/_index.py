@@ -109,15 +109,16 @@ class CoalitionIndex:
         rows = model.rows
         move_state, move_action = [], []
         moves_at = []  # per state: the range of its move ids
-        # states with equal coalition menus share their action tuples
-        combos_of = functools.cache(lambda menus: list(itertools.product(*menus)))
+        combos_of = {}  # menus -> their product; equal menus share its tuples
         count = []  # per move: its number of distinct successors
         pred = self.pred_moves = [array("i") for _ in range(n)]
         post = self.post_mask = [0] * n
         for i, q in enumerate(model.states):
             first = len(move_state)
-            combos = combos_of(tuple(per_state.get(q, ())
-                                     for per_state in coalition_protocols))
+            menus = tuple([per_state.get(q, ()) for per_state in coalition_protocols])
+            combos = combos_of.get(menus)
+            if combos is None:
+                combos = combos_of[menus] = list(itertools.product(*menus))
             move_state += [i] * len(combos)
             move_action.extend(combos)
             moves_at.append(range(first, first + len(combos)))

@@ -92,23 +92,26 @@ class Icgs:
             raise ModelError("duplicate agent identifier")
         if len(set(self.states)) != len(self.states):
             raise ModelError("duplicate state identifier")
-        self._state_pos = {q: i for i, q in enumerate(self.states)}
-        self._agent_pos = {ag: i for i, ag in enumerate(self.agents)}
-        initial_set = set(initial)
-        self.initial = tuple(q for q in self.states if q in initial_set)
+        self._state_pos = dict(zip(self.states, range(len(self.states))))
+        self._agent_pos = dict(zip(self.agents, range(len(self.agents))))
+        self.initial = tuple(filter(set(initial).__contains__, self.states))
         self._initial_raw = tuple(initial)
         self.actions = {ag: tuple(acts) for ag, acts in dict(actions).items()}
         self._issues = issues = []
         self.protocol = {}
+        menu_of = {}  # actions as listed -> sorted, without duplicates
         for ag, per_state in dict(protocol).items():
             self.protocol[ag] = menus = {}
             for q, acts in per_state.items():
-                acts = sorted(acts)
-                menus[q] = unique = tuple(dict.fromkeys(acts))
-                if len(unique) != len(acts):
+                listed = tuple(acts)
+                menu = menu_of.get(listed)
+                if menu is None:
+                    menu = menu_of[listed] = tuple(dict.fromkeys(sorted(listed)))
+                menus[q] = menu
+                if len(menu) != len(listed):
                     issues.append(ValidationIssue(
                         DUPLICATE_ACTION, "protocol of %r in %r lists an action "
-                        "more than once: %r" % (ag, q, acts)))
+                        "more than once: %r" % (ag, q, sorted(listed))))
         if (rows is None) == (transition is None):
             raise ModelError("give the transitions either as a mapping or as rows")
         self.rows = self._fill(transition) if rows is None else self._check_rows(rows)
@@ -132,10 +135,15 @@ class Icgs:
         recorded as dangling after the pass."""
         code = self._state_pos.get
         protocols = [self.protocol.get(ag, {}) for ag in self.agents]
-        slot_of = functools.cache(  # menus -> {joint action: row slot}
-            lambda menus: dict(zip(itertools.product(*menus), itertools.count())))
-        slots = [slot_of(tuple(per_state.get(q, ()) for per_state in protocols))
-                 for q in self.states]
+        tables = {}  # menus -> {joint action: row slot}
+        slots = []
+        for q in self.states:
+            menus = tuple([per_state.get(q, ()) for per_state in protocols])
+            table = tables.get(menus)
+            if table is None:
+                table = tables[menus] = dict(
+                    zip(itertools.product(*menus), itertools.count()))
+            slots.append(table)
         rows = [array("i", [-1]) * len(table) if table else None for table in slots]
         odd = {}  # key -> last successor, where that has no row slot or reads -2
         issues = self._issues

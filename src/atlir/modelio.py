@@ -15,9 +15,14 @@ Document layout (all eight keys required)::
 
 Serialisation is canonical: keys and lists are sorted, so documents diff
 cleanly and ``save . load`` is the identity on documents.  Loading validates
-the structure and raises with every violated well-formedness condition.  The
-loader checks each transition entry as it hands it to :class:`Icgs`, as a
+the structure and raises with every violated well-formedness condition.
+
+The loader builds no tree of the document: it reads the top-level object
+one member at a time with the standard library's C scanner and streams the
+transitions, checking each entry as it hands it to :class:`Icgs` as a
 ((state, joint action), successor) pair that goes straight into the rows.
+See :func:`loads` for the two rules this brings: no duplicate top-level
+key, and errors in text order.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import re
 from array import array
+from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as esc
 
 from .errors import CapExceeded, DocumentError
@@ -35,22 +42,180 @@ CASTLES_WORKER_CAP = 7
 
 _REQUIRED_KEYS = ("agents", "actions", "states", "initial", "labels", "obs",
                   "protocol", "transitions")
+_HEADER_KEYS = frozenset(_REQUIRED_KEYS[:-1])
+_chain = itertools.chain.from_iterable
 
 
-def loads(text: str) -> Icgs:
-    """Parse a model document and return the validated structure."""
+def loads(text) -> Icgs:
+    """Parse a model document and return the validated structure.
+
+    ``text`` is a ``str``, or ``bytes`` in an encoding ``json.loads`` would
+    detect.  The top-level object is read one member at a time with the
+    standard library's C scanner, each value decoded whole, except a
+    ``transitions`` array that comes after every other required key (it is
+    the last key of every canonical document): that array is streamed, one
+    entry at a time, checked as :func:`from_document` checks it and handed
+    to :class:`Icgs` as it is read, so no tree of the document is built.
+    A ``transitions`` that comes earlier is decoded whole and takes the
+    path of :func:`from_document`.
+
+    Two rules follow from streaming.  A top-level key given twice raises
+    :class:`DocumentError` (``json.loads`` would keep the last value, which
+    a streamed array cannot do for a key that comes after it).  Errors are
+    raised in text order: a structurally bad entry, or a bad header member
+    before the array, is reported before a JSON syntax error that comes
+    after it.  The rest of the object and the trailing text are checked
+    before the model is validated, so a syntax error after the array still
+    reads "not valid JSON" and never comes out as a :class:`ModelError`.
+    """
+    if not isinstance(text, str):
+        text = _decoded(text)
     try:
-        doc = json.loads(text)
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        pos = _WS(text).end()
+        if not text.startswith("{", pos):  # decoded whole; not a document
+            doc, pos = _value(text, pos)
+            _end(text, pos)
+            return from_document(doc)
+        doc = {}
+        pos = _members(text, pos + 1, doc, _FIRST)
+        if pos is None:
+            return from_document(doc)
+        return _model(doc, _entries(text, pos, doc))
     except json.JSONDecodeError as exc:
         raise DocumentError("not valid JSON: %s" % exc.msg,
                             "line %d column %d" % (exc.lineno, exc.colno)) from None
-    return from_document(doc)
 
 
 def load(path) -> Icgs:
+    """Read a UTF-8 model document from ``path``; see :func:`loads`."""
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise DocumentError("not UTF-8 text", "byte %d" % exc.start) from None
     return loads(text)
+
+
+def _decoded(data):
+    """The text of a ``bytes`` document, decoded as ``json.loads`` would."""
+    if not isinstance(data, (bytes, bytearray)):
+        raise TypeError("the JSON object must be str, bytes or bytearray, "
+                        "not %s" % type(data).__name__)
+    encoding = json.detect_encoding(data)
+    try:
+        return data.decode(encoding, "surrogatepass")
+    except UnicodeDecodeError as exc:
+        raise DocumentError("not %s text" % encoding.upper(),
+                            "byte %d" % exc.start) from None
+
+
+# JSON whitespace; a top-level key without escapes and the colon after it,
+# first or after a comma; the comma between two entries.  Where the key
+# patterns do not match, `_member` takes the steps of ``json.loads``.
+_WS = re.compile(r"[ \t\n\r]*").match
+_FIRST = re.compile(r'[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*').match
+_NEXT = re.compile(r'[ \t\n\r]*,[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*').match
+_COMMA = re.compile(r"[ \t\n\r]*,[ \t\n\r]*").match
+_scan = json.JSONDecoder().scan_once  # one JSON value at a position
+
+
+def _member(text, pos, fast):
+    """The key of the next top-level member and the position of its value,
+    or None and the position after the closing brace, read with the steps
+    and error positions of ``json.loads`` where ``fast`` does not match.
+    ``pos`` follows the opening brace (``fast`` is _FIRST) or the previous
+    value (_NEXT)."""
+    pos = _WS(text, pos).end()
+    if text.startswith("}", pos):
+        return None, pos + 1
+    if fast is _NEXT:
+        if not text.startswith(",", pos):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+        pos = _WS(text, pos + 1).end()
+    if not text.startswith('"', pos):
+        raise json.JSONDecodeError(
+            "Expecting property name enclosed in double quotes", text, pos)
+    key, pos = scanstring(text, pos + 1)
+    pos = _WS(text, pos).end()
+    if not text.startswith(":", pos):
+        raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
+    return key, _WS(text, pos + 1).end()
+
+
+def _members(text, pos, doc, fast):
+    """Read the top-level members from ``pos`` into ``doc``.  Returns None
+    after the closing brace and the trailing text are checked, or the
+    position inside a ``transitions`` array that comes after every other
+    required key, where its stream starts."""
+    while True:
+        m = fast(text, pos)
+        if m is not None:
+            key, pos = m[1], m.end()
+        else:
+            key, pos = _member(text, pos, fast)
+            if key is None:
+                break
+        fast = _NEXT
+        if key in doc:
+            raise DocumentError("duplicate top-level key %r" % key,
+                                _position(text, pos))
+        if (key == "transitions" and text.startswith("[", pos)
+                and doc.keys() >= _HEADER_KEYS):
+            return pos + 1
+        try:
+            doc[key], pos = _scan(text, pos)
+        except (StopIteration, RecursionError):
+            _value(text, pos)  # raises the error of the value at pos
+    _end(text, pos)
+    return None
+
+
+def _entries(text, pos, doc):
+    """The entries of the transitions array from ``pos``, one decoded at a
+    time; then the rest of the top-level object and the trailing text."""
+    pos = _WS(text, pos).end()
+    if not text.startswith("]", pos):
+        while True:
+            try:
+                entry, pos = _scan(text, pos)
+            except (StopIteration, RecursionError):
+                _value(text, pos)
+            yield entry
+            m = _COMMA(text, pos)
+            if m is None:
+                break
+            pos = m.end()
+        pos = _WS(text, pos).end()
+        if not text.startswith("]", pos):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+    doc["transitions"] = None  # a second one is a duplicate key
+    _members(text, pos + 1, doc, _NEXT)
+
+
+def _value(text, pos):
+    """The JSON value at ``pos`` and the position after it, or the error of
+    ``json.loads`` there."""
+    try:
+        return _scan(text, pos)
+    except StopIteration as stop:
+        raise json.JSONDecodeError("Expecting value", text, stop.value) from None
+    except RecursionError:
+        raise DocumentError("nested too deeply", _position(text, pos)) from None
+
+
+def _end(text, pos):
+    """Only whitespace may follow the value that ends before ``pos``."""
+    pos = _WS(text, pos).end()
+    if pos != len(text):
+        raise json.JSONDecodeError("Extra data", text, pos)
+
+
+def _position(text, pos):
+    return "line %d column %d" % (text.count("\n", 0, pos) + 1,
+                                  pos - text.rfind("\n", 0, pos))
 
 
 def from_document(doc) -> Icgs:
@@ -60,7 +225,16 @@ def from_document(doc) -> Icgs:
     for key in _REQUIRED_KEYS:
         if key not in doc:
             raise DocumentError("missing top-level key %r" % key)
+    return _model(doc, None)
 
+
+def _model(doc, entries):
+    """The validated model of a document whose required keys are all there;
+    its transitions are ``entries``, or the document's own when None.
+
+    Each nested member is first checked whole, in one C-level pass over its
+    strings; the loops that name the first violation run only when that
+    check fails, so the errors are theirs."""
     agents = _string_list(doc["agents"], "agents")
     states = _string_list(doc["states"], "states")
     declared = set(states)
@@ -69,43 +243,55 @@ def from_document(doc) -> Icgs:
     if len(set(agents)) != len(agents):
         raise DocumentError("duplicate agent identifier in 'agents'")
     initial = _string_list(doc["initial"], "initial")
-    actions = {ag: _string_list(acts, "actions[%r]" % ag)
-               for ag, acts in _object(doc["actions"], "actions").items()}
-    labels = {q: _string_list(props, "labels[%r]" % q)
-              for q, props in _object(doc["labels"], "labels").items()}
-    for q in labels:
-        if q not in declared:
-            raise DocumentError("labels mention unknown state %r" % q)
-    obs = {}
-    for ag, per_state in _object(doc["obs"], "obs").items():
-        obs[ag] = {q: _string(tok, "obs[%r][%r]" % (ag, q))
-                   for q, tok in _object(per_state, "obs[%r]" % ag).items()}
-    protocol = {}
-    for ag, per_state in _object(doc["protocol"], "protocol").items():
-        protocol[ag] = {q: _string_list(acts, "protocol[%r][%r]" % (ag, q))
-                        for q, acts in _object(per_state, "protocol[%r]" % ag).items()}
-
-    triples = doc["transitions"]
-    if not isinstance(triples, list):
-        raise DocumentError("'transitions' must be a list of triples")
-    agent_set = set(agents)
-
-    def pairs():
-        for k, entry in enumerate(triples):
-            if not (type(entry) is list and len(entry) == 3
-                    and type(entry[0]) is str and type(entry[2]) is str
-                    and type(entry[1]) is dict and entry[1].keys() == agent_set):
-                _check_entry(k, entry, agents)
-            source, joint_map, target = entry
-            joint = tuple(map(joint_map.__getitem__, agents))
-            try:
-                "".join(joint)  # raises TypeError iff an action is no string
-            except TypeError:
-                _check_entry(k, entry, agents)
-            yield (source, joint), target
-
-    model = Icgs(agents, states, initial, actions, protocol, pairs(), obs, labels)
+    actions = _object(doc["actions"], "actions")
+    if not _strings(_chain(map(list.__iter__, actions.values()))):
+        actions = {ag: _string_list(acts, "actions[%r]" % ag)
+                   for ag, acts in actions.items()}
+    labels = _object(doc["labels"], "labels")
+    if not _strings(_chain(map(list.__iter__, labels.values()))):
+        labels = {q: _string_list(props, "labels[%r]" % q)
+                  for q, props in labels.items()}
+    if not declared.issuperset(labels):
+        for q in labels:
+            if q not in declared:
+                raise DocumentError("labels mention unknown state %r" % q)
+    obs = _object(doc["obs"], "obs")
+    if not _strings(_chain(map(dict.values, obs.values()))):
+        obs = {ag: {q: _string(tok, "obs[%r][%r]" % (ag, q))
+                    for q, tok in _object(per_state, "obs[%r]" % ag).items()}
+               for ag, per_state in obs.items()}
+    protocol = _object(doc["protocol"], "protocol")
+    if not _strings(_chain(map(list.__iter__, _chain(
+            map(dict.values, protocol.values()))))):
+        protocol = {
+            ag: {q: _string_list(acts, "protocol[%r][%r]" % (ag, q))
+                 for q, acts in _object(per_state, "protocol[%r]" % ag).items()}
+            for ag, per_state in protocol.items()}
+    if entries is None:
+        entries = doc["transitions"]
+        if not isinstance(entries, list):
+            raise DocumentError("'transitions' must be a list of triples")
+    model = Icgs(agents, states, initial, actions, protocol,
+                 _pairs(entries, agents), obs, labels)
     return model.require_valid()
+
+
+def _pairs(entries, agents):
+    """Each transition entry checked, as a ((state, joint action), successor)
+    pair."""
+    width = len(agents)  # the agents are distinct
+    for k, entry in enumerate(entries):
+        if not (type(entry) is list and len(entry) == 3
+                and type(entry[0]) is str and type(entry[2]) is str
+                and type(entry[1]) is dict and len(entry[1]) == width):
+            _check_entry(k, entry, agents)
+        source, joint_map, target = entry
+        try:
+            joint = tuple(map(joint_map.__getitem__, agents))
+            "".join(joint)  # raises TypeError iff an action is no string
+        except (KeyError, TypeError):
+            _check_entry(k, entry, agents)
+        yield (source, joint), target
 
 
 def to_document(model: Icgs) -> dict:
@@ -234,9 +420,24 @@ def _string(value, where):
 
 
 def _string_list(value, where):
+    """``value`` itself when it is a list of strings."""
     if not isinstance(value, list):
         raise DocumentError("expected a list of strings", where)
-    return [_string(v, where) for v in value]
+    if not _strings(value):
+        for v in value:
+            _string(v, where)  # raises at the first entry that is no string
+    return value
+
+
+def _strings(pieces):
+    """Whether ``pieces``, an iterable read once, yields only strings.  A
+    ``map`` of ``list.__iter__`` or ``dict.values`` inside it raises
+    TypeError at a value of another type, which answers False too."""
+    try:
+        "".join(pieces)
+    except TypeError:
+        return False
+    return True
 
 
 def _object(value, where):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from atlir import cli
 from atlir.checker import check
 from atlir.cli import main
@@ -113,6 +115,16 @@ def test_unknown_model_file_exits_two(capsys):
     code, _, err = run(capsys, "check", "--model", "/nonexistent.icgs.json", "true")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000],
+                         ids=["undecodable", "over-nested"])
+def test_unreadable_model_file_exits_two(capsys, tmp_path, content):
+    path = tmp_path / "bad.icgs.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "check", "--model", str(path), "true")
+    assert code == 2 and out == ""
+    assert "error:" in err and "internal error" not in err
 
 
 def test_duplicate_protocol_action_exits_two(capsys, tmp_path):

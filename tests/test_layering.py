@@ -127,3 +127,18 @@ def test_no_move_keeps_a_successor_mask():
     # the engine counts successors; the oracle reads the rows
     assert [path.name for path in sorted(SRC.glob("*.py"))
             if "succ_mask" in path.read_text()] == []
+
+
+def test_the_loader_decodes_no_whole_document():
+    # modelio reads a document with the scanner, one member or transition
+    # entry at a time; a whole-document decoder would bring its tree back
+    tree = _tree(SRC / "modelio.py")
+    whole = {"load", "loads", "decode", "raw_decode"}
+    found = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in whole
+             and "json" in ast.unparse(node.value).lower()]
+    found += ["from %s import %s" % (node.module, alias.name)
+              for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              and "json" in (node.module or "") for alias in node.names
+              if alias.name in whole]
+    assert found == []

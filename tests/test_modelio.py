@@ -155,6 +155,20 @@ def test_loader_builds_no_transition_dictionary(castles112):
     assert peak < 5_000_000
 
 
+def test_loads_holds_no_document_tree(castles112):
+    text = dumps(castles112)
+    tracemalloc.start()
+    try:
+        model = loads(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model == castles112
+    # the transitions are read one entry at a time; the decoded tree of the
+    # whole 13.8 MB document took about 50 MB
+    assert peak < 5_000_000
+
+
 def test_dumps_is_canonical(cardgame):
     text = dumps(cardgame)
     assert text == dumps(loads(text))
@@ -207,6 +221,149 @@ def test_load_rejects_incomplete_joint_action(cardgame):
     del doc["transitions"][0][1]["player"]
     with pytest.raises(DocumentError):
         loads(json.dumps(doc))
+
+
+# -- streamed loading ------------------------------------------------------------
+
+def _layout_models():
+    rng = random.Random(19)
+    return ([gen_cardgame(), gen_castles(1, 1, 1)]
+            + [random_model(rng) for _ in range(20)])
+
+
+def _with_keys(doc, order):
+    """The document with its top-level keys in ``order``."""
+    return {key: doc[key] for key in order}
+
+
+def _header_keys(doc):
+    keys = [key for key in doc if key != "transitions"]
+    random.Random(len(doc["states"])).shuffle(keys)
+    return keys
+
+
+_LAYOUTS = {
+    "compact": lambda doc: json.dumps(doc, separators=(",", ":")),
+    "one line": lambda doc: json.dumps(doc, indent=None),
+    "crlf and tabs": lambda doc: json.dumps(
+        doc, indent="\t", separators=(" ,\t", "\t:\r\n")).replace("\n", "\r\n"),
+    "transitions first": lambda doc: json.dumps(
+        _with_keys(doc, ["transitions"] + _header_keys(doc))),
+    "transitions in the middle": lambda doc: json.dumps(
+        _with_keys(doc, _header_keys(doc)[:3] + ["transitions"] + _header_keys(doc)[3:])),
+    "transitions last": lambda doc: json.dumps(
+        _with_keys(doc, _header_keys(doc) + ["transitions"]), indent=1),
+    "extra keys": lambda doc: json.dumps(
+        {"comment": ["x", {"y": None}], **doc, "zz": {"transitions": [1.5]}}),
+}
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+def test_any_layout_loads_the_same_model(layout):
+    for model in _layout_models():
+        text = _LAYOUTS[layout](to_document(model))
+        assert loads(text) == loads(dumps(model))
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+def test_an_empty_transitions_array_loads_in_any_layout(layout):
+    # no state, or an agent with no enabled action: no joint action at all
+    empty = Icgs(["g"], [], [], {"g": ["a"]}, {"g": {}}, {}, {"g": {}}, {})
+    stuck = make_model(["g"], ["u"], {"g": {"u": []}}, {}, {"g": {"u": "o"}},
+                       actions={"g": ["a"]})
+    for model in (empty, stuck):
+        doc = to_document(model)
+        assert doc["transitions"] == []
+        assert (_load_outcome(loads, _LAYOUTS[layout](doc))
+                == _load_outcome(loads, dumps(model)))
+    assert loads(dumps(empty)) == empty
+
+
+def _assert_placed_as_json_places_it(text):
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(text)
+    exc = expected.value
+    where = "line %d column %d" % (exc.lineno, exc.colno)
+    with pytest.raises(DocumentError) as err:
+        loads(text)
+    assert (str(err.value), err.value.where) == (
+        "not valid JSON: %s (%s)" % (exc.msg, where), where)
+
+
+def test_syntax_errors_are_placed_as_json_places_them(cardgame):
+    text = dumps(cardgame)
+    second = text.index("\n    [", text.index('"transitions"') + 20)
+    assert text[second - 1] == ","
+    _assert_placed_as_json_places_it(text[:second - 1] + text[second:])  # no comma
+    for cut in (1, 40, len(text) // 2, second + 20, len(text) - 3, len(text) - 2):
+        _assert_placed_as_json_places_it(text[:cut])  # truncated
+    for tail in ("x", "{}", ", 1", "]"):
+        _assert_placed_as_json_places_it(text + tail)  # trailing data
+    compact = json.dumps(to_document(cardgame))
+    entry = compact.index("], [") + 1
+    _assert_placed_as_json_places_it(compact[:entry] + compact[entry + 1:])
+
+
+def test_every_corruption_json_rejects_is_a_document_error(cardgame):
+    text = dumps(cardgame)
+    rng = random.Random(5)
+    rejected = 0
+    for _ in range(3000):
+        i = rng.randrange(len(text))
+        bad = text[:i] + rng.choice(['', ' ', '{', '}', '[', ']', ',', ':', '"',
+                                     '\\', '0', 'x', '\x01']) + text[i + 1:]
+        try:
+            json.loads(bad)
+        except json.JSONDecodeError as exc:
+            where = "line %d column %d" % (exc.lineno, exc.colno)
+            message = "not valid JSON: %s (%s)" % (exc.msg, where)
+        else:
+            continue
+        rejected += 1
+        with pytest.raises(DocumentError) as err:
+            loads(bad)
+        # json's own error, unless a transition entry before it is malformed
+        assert (str(err.value) == message
+                or err.value.where.startswith("transitions["))
+    assert rejected > 1000
+
+
+def test_a_duplicate_top_level_key_is_a_document_error(cardgame):
+    text = json.dumps(to_document(cardgame))
+    assert text.startswith('{"agents": ') and text.endswith("]]}")
+    for bad in ('{"states": [], ' + text[1:],  # before the transitions
+                text[:-1] + ', "agents": []}',  # after them
+                text[:-1] + ', "transitions": []}',
+                '{"transitions": [], ' + text[1:]):  # not streamed
+        with pytest.raises(DocumentError, match="duplicate top-level key"):
+            loads(bad)
+
+
+def test_undecodable_text_is_a_document_error(cardgame, tmp_path):
+    data = dumps(cardgame).encode()
+    i = data.index(b"start")
+    bad = data[:i] + b"\xff" + data[i + 1:]
+    with pytest.raises(DocumentError, match=r"^not UTF-8 text \(byte %d\)$" % i):
+        loads(bad)
+    path = tmp_path / "bad.json"
+    for content, at in ((bad, i), (b"\xff\xfe" + data, 0)):
+        path.write_bytes(content)
+        with pytest.raises(DocumentError, match=r"^not UTF-8 text \(byte %d\)$" % at):
+            load(path)
+    assert loads(data) == loads(data.decode("utf-8")) == cardgame
+
+
+def test_an_over_nested_document_is_a_document_error(cardgame, tmp_path):
+    with pytest.raises(DocumentError, match=r"^nested too deeply \(line 1 column 1\)$"):
+        loads("[" * 100000)
+    text = dumps(cardgame)
+    entry = text.index("\n    [", text.index('"transitions"')) + 5
+    deep = text[:entry] + "[" * 5000 + "]" * 5000 + ",\n    " + text[entry:]
+    path = tmp_path / "deep.json"
+    path.write_text(deep, encoding="utf-8")
+    line = deep.count("\n", 0, entry) + 1
+    with pytest.raises(DocumentError, match=r"^nested too deeply \(line %d column 5\)$" % line):
+        load(path)
 
 
 # -- card game -------------------------------------------------------------------
