@@ -11,9 +11,12 @@ model's only store of its transitions.  A row lists its state's joint
 actions in ``itertools.product`` order over the agents' protocols.  The
 position of a joint action in its row fixes each agent's pick as one digit,
 so its move id is the state's first move id plus the coalition's digits read
-as a mixed-radix number over the coalition's protocol sizes.  The ids of a
-whole row come from ``map(sum, product(...))``, with no lookup or projection
-per joint action.
+as a mixed-radix number over the coalition's protocol sizes.  States with the
+same menus share one table: per joint action, a pair key that packs that
+offset above room for the successor.  Adding a row to its keys gives one int
+per (move, successor) pair, so a state's pairs are one ``dict.fromkeys`` over
+``map(operator.add, keys, row)``, with no lookup, product or tuple per joint
+action.
 
 The predecessor operators run backwards over a reverse index, the moves that
 can reach each state, and over successor counts: ``n_succ`` holds each
@@ -53,6 +56,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from array import array
 from typing import Iterator
 
@@ -87,6 +91,28 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _joint_table(menus, inside, width):
+    """The coalition actions over ``menus``, one protocol per agent in model
+    order, and the pair key of each joint action in the product order of a
+    row.  A coalition action's offset among the actions is its agents' picks
+    read as a mixed-radix number over their protocol sizes; a pair key is
+    that offset times ``width``, plus 2, so that adding a successor from
+    -2 up gives a key that ``divmod(key, width)`` reads back as the offset and
+    the successor plus 2."""
+    combos = list(itertools.product(*itertools.compress(menus, inside)))
+    if not all(menus):  # no joint action, and the state no row
+        return combos, None
+    terms = []  # last agent first: one term per agent, 0 for the others
+    weight = width
+    for menu, member in zip(reversed(menus), reversed(inside)):
+        if member:
+            terms.append(range(0, weight * len(menu), weight))
+            weight *= len(menu)
+        else:
+            terms.append((0,) * len(menu))
+    return combos, array("q", map(sum, itertools.product((2,), *reversed(terms))))
+
+
 class CoalitionIndex:
     """Move tables and mask operators for one model and one coalition."""
 
@@ -102,23 +128,24 @@ class CoalitionIndex:
         # successors of each move over all completions by the other agents;
         # the reverse index: per state, the moves with that state among their
         # successors, each listed once; and the plain post relation.
-        protocol = model.protocol
-        coalition_protocols = [protocol.get(ag, {}) for ag in gamma]
-        # last agent first: its protocol, and whether it is in the coalition
-        radix = [(protocol.get(ag, {}), ag in gamma) for ag in reversed(model.agents)]
+        protocols = [model.protocol.get(ag, {}) for ag in model.agents]
+        coalition_protocols = [model.protocol.get(ag, {}) for ag in gamma]
+        inside = [ag in gamma for ag in model.agents]
         rows = model.rows
         move_state, move_action = [], []
         moves_at = []  # per state: the range of its move ids
-        combos_of = {}  # menus -> their product; equal menus share its tuples
+        tables = {}  # all agents' menus -> (coalition actions, pair keys)
         count = []  # per move: its number of distinct successors
         pred = self.pred_moves = [array("i") for _ in range(n)]
         post = self.post_mask = [0] * n
+        width = n + 2  # a pair key's successor digit runs over -2..n-1
         for i, q in enumerate(model.states):
             first = len(move_state)
-            menus = tuple([per_state.get(q, ()) for per_state in coalition_protocols])
-            combos = combos_of.get(menus)
-            if combos is None:
-                combos = combos_of[menus] = list(itertools.product(*menus))
+            menus = tuple([per_state.get(q, ()) for per_state in protocols])
+            table = tables.get(menus)
+            if table is None:
+                table = tables[menus] = _joint_table(menus, inside, width)
+            combos, keys = table
             move_state += [i] * len(combos)
             move_action.extend(combos)
             moves_at.append(range(first, first + len(combos)))
@@ -126,25 +153,14 @@ class CoalitionIndex:
             row = rows[i]
             if row is None:
                 continue
-            # A joint action's move id: ``first`` plus the coalition's picks
-            # read as a mixed-radix number over the coalition's protocol
-            # sizes.  One term per agent, 0 for the others, summed in the
-            # product order of the row.
-            terms = []
-            weight = 1
-            for per_state, inside in radix:
-                size = len(per_state[q])
-                if inside:
-                    terms.append(range(0, weight * size, weight))
-                    weight *= size
-                else:
-                    terms.append((0,) * size)
-            terms.append((first,))
-            move_ids = map(sum, itertools.product(*reversed(terms)))
             reached = 0
-            # each (move, successor) pair once, in the order first reached
-            for m, t in dict.fromkeys(zip(move_ids, row)):
-                if t >= 0:
+            # each (move, successor) pair once, in the order first reached;
+            # a remainder below 2 is a missing or undeclared successor
+            for key in dict.fromkeys(map(operator.add, keys, row)):
+                m, t = divmod(key, width)
+                if t >= 2:
+                    t -= 2
+                    m += first
                     reached |= 1 << t
                     count[m] += 1
                     pred[t].append(m)

@@ -27,7 +27,6 @@ key, and errors in text order.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import re
@@ -561,58 +560,78 @@ def gen_castles(n1: int, n2: int, n3: int) -> Icgs:
             return 0
         return 1 << width * (int(act[-1]) - 1)
 
-    @functools.cache
-    def menu(i, fallen, ready):
-        """Worker i's enabled actions, sorted, and their effects."""
-        acts = (("noop",) if fallen else tuple(sorted(
-            attack_of[i] + (("defend",) if ready else ()) + ("noop",))))
-        return acts, tuple(effect(i, a) for a in acts)
+    def table(fallen, ready):
+        """The menus of a state whose fallen castles and readiness are these
+        (each worker's enabled actions, sorted), the distinct joint effects
+        in the order of the product of the menus, and per joint action the
+        slot of its effect among them."""
+        menus = []
+        effects = []
+        for i in range(len(agents)):
+            acts = (("noop",) if fallen[own[i]] else tuple(sorted(
+                attack_of[i] + (("defend",) if ready[i] else ()) + ("noop",))))
+            menus.append(acts)
+            effects.append([effect(i, a) for a in acts])
+        codes = list(map(sum, itertools.product(*effects)))
+        slot_of = dict(zip(dict.fromkeys(codes), itertools.count()))
+        return menus, tuple(slot_of), array("i", map(slot_of.__getitem__, codes))
+
+    def split(code):
+        """The damage a joint effect deals each castle and the readiness it
+        leaves the workers."""
+        return (tuple(max(0, (code >> width * c & field)
+                          - (code >> width * (c + 3) & field)) for c in range(3)),
+                tuple(not code >> ready_shift + i & 1 for i in range(len(agents))))
 
     def state_id(hp, ready, init):
         return "hp%d%d%d_cd%s%s" % (hp[0], hp[1], hp[2],
                                     "".join("1" if r else "0" for r in ready),
                                     "_init" if init else "")
 
-    def successor(hp, code):
-        new_hp = tuple(max(0, hp[c] - max(0, (code >> width * c & field)
-                                          - (code >> width * (c + 3) & field)))
-                       for c in range(3))
-        new_ready = tuple(not code >> ready_shift + i & 1
-                          for i in range(len(agents)))
-        succ = (new_hp, new_ready, False)
-        d = found.get(succ)
-        if d is None:
-            d = found[succ] = len(found)
-            frontier.append(succ)
-        return d
-
     initial = ((3, 3, 3), (True,) * len(agents), True)
     found = {initial: 0}  # state -> discovery index
-    rows = {}  # discovery index -> row of successor discovery indices
+    # discovery index -> (its table's slots, the successor discovery index
+    # of each of its distinct effects)
+    pending = {}
     protocol = {w: {} for w in agents}
     observation = {w: {} for w in agents}
+    tables = {}  # (fallen castles, readiness) -> table
+    splits = {}  # joint effect -> split
     after = {}  # hit points -> {joint effect: successor discovery index}
     frontier = [initial]
     while frontier:
         hp, ready, init = state = frontier.pop()
         sid = state_id(*state)
-        status = "_df%d%d%d%s" % (hp[0] == 0, hp[1] == 0, hp[2] == 0,
-                                  "_init" if init else "")
-        effects = []
-        for i, w in enumerate(agents):
-            acts, eff = menu(i, hp[own[i]] == 0, ready[i])
-            protocol[w][sid] = list(acts)
-            observation[w][sid] = ("cd1" if ready[i] else "cd0") + status
-            effects.append(eff)
-        # One effect per joint action, in the order of the product of the
-        # menus; a successor is computed once per new (hit points, effect)
-        # pair, in the order the joint actions first reach it.
-        codes = list(map(sum, itertools.product(*effects)))
+        fallen = (hp[0] == 0, hp[1] == 0, hp[2] == 0)
+        key = fallen, ready
+        entry = tables.get(key)
+        if entry is None:
+            entry = tables[key] = table(*key)
+        menus, uniq, slots = entry
+        status = "_df%d%d%d%s" % (*fallen, "_init" if init else "")
+        for w, acts, r in zip(agents, menus, ready):
+            protocol[w][sid] = acts
+            observation[w][sid] = ("cd1" if r else "cd0") + status
+        # A successor is computed once per new (hit points, effect) pair, in
+        # the order the joint actions first reach it.
         known = after.setdefault(hp, {})
-        for code in dict.fromkeys(codes):
-            if code not in known:
-                known[code] = successor(hp, code)
-        rows[found[state]] = array("i", map(known.__getitem__, codes))
+        succ = list(map(known.get, uniq))
+        if None in succ:
+            for j, d in enumerate(succ):
+                if d is None:
+                    code = uniq[j]
+                    parts = splits.get(code)
+                    if parts is None:
+                        parts = splits[code] = split(code)
+                    damage, new_ready = parts
+                    target = ((max(0, hp[0] - damage[0]), max(0, hp[1] - damage[1]),
+                               max(0, hp[2] - damage[2])), new_ready, False)
+                    d = found.get(target)
+                    if d is None:
+                        d = found[target] = len(found)
+                        frontier.append(target)
+                    succ[j] = known[code] = d
+        pending[found[state]] = slots, array("i", succ)
 
     names = [state_id(*state) for state in found]
     states = sorted(names)
@@ -620,7 +639,9 @@ def gen_castles(n1: int, n2: int, n3: int) -> Icgs:
     remap = [position[q] for q in names]  # discovery index -> position
     by_position = [None] * len(states)
     for d, i in enumerate(remap):
-        by_position[i] = array("i", map(remap.__getitem__, rows.pop(d)))
+        slots, succ = pending.pop(d)
+        positions = list(map(remap.__getitem__, succ))
+        by_position[i] = array("i", map(positions.__getitem__, slots))
     labels = {}
     for (hp, _, _), sid in zip(found, names):
         props = []

@@ -326,6 +326,11 @@ def random_indexes():
     out.append(("cardgame dealer,player", cardgame.index(("dealer", "player"))))
     castles = modelio.gen_castles(1, 1, 1)
     out.append(("castles 1,1,1", castles.index(castles.coalition(["c1w1", "c2w1"]))))
+    # c2w1 sits between the coalition's agents: the digits of a pair key
+    # interleave with an outsider's picks
+    castles = modelio.gen_castles(1, 1, 2)
+    out.append(("castles 1,1,2 <<c1w1,c3w2>>",
+                castles.index(castles.coalition(["c1w1", "c3w2"]))))
     return out
 
 
@@ -722,6 +727,49 @@ def test_tables_match_with_a_missing_transition_and_a_stuck_agent():
     idx = model.index(("g",))
     assert idx.moves_at[1] == range(2, 3) and idx.n_succ[2] == 0
     assert idx.stuck_moves >> 2 & 1
+
+
+def test_tables_match_with_transitions_into_undeclared_states():
+    # -2 slots decode to a successor below 0 under the +2 offset of a pair
+    # key, first in a row (key 0) and later; (w, a) of g reaches only one.
+    states = ["u", "v", "w"]
+    protocol = {"g": {"u": ["a", "b"], "v": ["a"], "w": ["a", "b"]},
+                "h": {"u": ["c", "d"], "v": ["c"], "w": ["c"]}}
+    transition = {("u", ("a", "c")): "x", ("u", ("a", "d")): "v",
+                  ("u", ("b", "c")): "w", ("u", ("b", "d")): "y",
+                  ("v", ("a", "c")): "w", ("w", ("a", "c")): "x",
+                  ("w", ("b", "c")): "u"}
+    observation = {"g": {"u": "o", "v": "p", "w": "o"},
+                   "h": {"u": "u", "v": "v", "w": "w"}}
+    model = make_model(["g", "h"], states, protocol, transition, observation)
+    assert [list(row) for row in model.rows] == [[-2, 1, 2, -2], [2], [-2, 0]]
+    for gamma in [(), ("g",), ("h",), ("g", "h")]:
+        assert_tables_match(CoalitionIndex(model, gamma), "undeclared %r" % (gamma,))
+    idx = model.index(("g",))
+    stuck = idx.move_id("w", ("a",))
+    assert idx.n_succ[stuck] == 0 and idx.stuck_moves >> stuck & 1
+    assert idx.n_succ[idx.move_id("u", ("a",))] == 1
+
+
+def test_index_takes_its_joint_tables_once_per_menu_tuple(monkeypatch):
+    model = modelio.gen_castles(1, 1, 2)
+    product = itertools.product
+    calls = []
+
+    def counted(*iterables):
+        calls.append(len(iterables))
+        return product(*iterables)
+
+    monkeypatch.setattr(itertools, "product", counted)
+    gamma = model.coalition(["c1w1", "c3w2"])
+    idx = CoalitionIndex(model, gamma)
+    menus = {tuple(model.protocol[ag][q] for ag in model.agents)
+             for q in model.states}
+    # per distinct tuple of all agents' menus: its coalition actions and its
+    # pair keys, where a product per state took one more per state
+    assert len(calls) == 2 * len(menus) < len(model.states)
+    monkeypatch.undo()
+    assert_tables_match(idx, "castles 1,1,2 counted")
 
 
 def test_tables_match_on_an_incomplete_castles_model():
