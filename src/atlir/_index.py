@@ -8,7 +8,8 @@ of one state form a contiguous id range.
 
 The tables are built from the model's successor rows, ``Icgs.rows``, the
 model's only store of its transitions.  A row lists its state's joint
-actions in ``itertools.product`` order over the agents' protocols.  The
+actions in ``itertools.product`` order over the state's menus,
+``Icgs.menus``: one sorted protocol per agent, in model order.  The
 position of a joint action in its row fixes each agent's pick as one digit,
 so its move id is the state's first move id plus the coalition's digits read
 as a mixed-radix number over the coalition's protocol sizes.  States with the
@@ -54,7 +55,6 @@ errors: the public wrappers of :mod:`atlir.icgs` sit on top of it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from array import array
@@ -123,25 +123,22 @@ class CoalitionIndex:
         self.n_states = n
         self.full_states = (1 << n) - 1
 
-        # Enumerate coalition moves in canonical order: protocols are sorted
+        # Enumerate coalition moves in canonical order: menus are sorted
         # tuples, so their product is.  From the model's successor rows, the
-        # successors of each move over all completions by the other agents;
-        # the reverse index: per state, the moves with that state among their
-        # successors, each listed once; and the plain post relation.
-        protocols = [model.protocol.get(ag, {}) for ag in model.agents]
-        coalition_protocols = [model.protocol.get(ag, {}) for ag in gamma]
+        # successors of each move over all completions by the other agents
+        # and the reverse index: per state, the moves with that state among
+        # their successors, each listed once.
         inside = [ag in gamma for ag in model.agents]
+        state_menus = model.menus
         rows = model.rows
         move_state, move_action = [], []
         moves_at = []  # per state: the range of its move ids
         tables = {}  # all agents' menus -> (coalition actions, pair keys)
         count = []  # per move: its number of distinct successors
         pred = self.pred_moves = [array("i") for _ in range(n)]
-        post = self.post_mask = [0] * n
         width = n + 2  # a pair key's successor digit runs over -2..n-1
-        for i, q in enumerate(model.states):
+        for i, menus in enumerate(state_menus):
             first = len(move_state)
-            menus = tuple([per_state.get(q, ()) for per_state in protocols])
             table = tables.get(menus)
             if table is None:
                 table = tables[menus] = _joint_table(menus, inside, width)
@@ -153,7 +150,6 @@ class CoalitionIndex:
             row = rows[i]
             if row is None:
                 continue
-            reached = 0
             # each (move, successor) pair once, in the order first reached;
             # a remainder below 2 is a missing or undeclared successor
             for key in dict.fromkeys(map(operator.add, keys, row)):
@@ -161,10 +157,8 @@ class CoalitionIndex:
                 if t >= 2:
                     t -= 2
                     m += first
-                    reached |= 1 << t
                     count[m] += 1
                     pred[t].append(m)
-            post[i] = reached
         self.move_state = move_state
         self.move_action = move_action
         self.moves_at = moves_at
@@ -182,7 +176,8 @@ class CoalitionIndex:
         # for the empty coalition.
         self.move_key, self.key_moves, self.class_mask, self.key_range = [], [], [], []
         closure = [0] * n
-        for a, (ag, acts) in enumerate(zip(gamma, coalition_protocols)):
+        where = [j for j, member in enumerate(inside) if member]
+        for a, (ag, p) in enumerate(zip(gamma, where)):
             obs = model.observation.get(ag, {})
             rank = {}
             state_class = [rank.setdefault(obs.get(q), len(rank)) for q in model.states]
@@ -191,7 +186,7 @@ class CoalitionIndex:
             for i, c in enumerate(state_class):
                 members[c] |= 1 << i
                 if moves_at[i]:
-                    class_keys[c].update(dict.fromkeys(acts[model.states[i]]))
+                    class_keys[c].update(dict.fromkeys(state_menus[i][p]))
             closure = [mask | members[c] for mask, c in zip(closure, state_class)]
             key_range = []
             for keys in class_keys:
@@ -220,15 +215,11 @@ class CoalitionIndex:
 
     # -- state-level operators ----------------------------------------------
 
-    @functools.cached_property
-    def _lookup(self):  # (state position, coalition action) -> move id
-        return dict(zip(zip(self.move_state, self.move_action), itertools.count()))
-
     def move_id(self, state, picks):
-        i = self.model.state_position(state)
+        moves = self.moves_at[self.model.state_position(state)]
         try:
-            return self._lookup[(i, tuple(picks))]
-        except KeyError:
+            return self.move_action.index(tuple(picks), moves.start, moves.stop)
+        except ValueError:
             raise DisabledJointAction(
                 "coalition action %r is not enabled in state %r"
                 % (tuple(picks), state)) from None
@@ -250,12 +241,6 @@ class CoalitionIndex:
         out = 0
         for m in bits(movemask):
             out |= 1 << self.move_state[m]
-        return out
-
-    def post(self, qmask):
-        out = 0
-        for i in bits(qmask):
-            out |= self.post_mask[i]
         return out
 
     def closure(self, qmask):
@@ -314,21 +299,12 @@ class CoalitionIndex:
         stuck = [m for m in bits(self.stuck_moves) if table[m]]
         return left, stuck + self.enter(left, table, states)
 
-    def pre_move(self, target_states, known=0):
-        """Moves all of whose completions land in ``target_states``.
-
-        With ``known == 0`` the answer includes the moves without any
-        successor, which belong to the answer for every target.  A non-empty
-        ``known`` inside the target, e.g. the target a caller's target grew
-        from, asks only for what the target adds: ``pre_move(target) &
-        ~pre_move(known)``, the moves whose count the walk of the added
-        states takes to 0 after the walk of ``known``.
-        """
+    def pre_move(self, target_states):
+        """Moves all of whose completions land in ``target_states``, the
+        moves without any successor included: they belong to the answer for
+        every target."""
         table = b"\1" * len(self.move_state)
-        left, entered = self.counts(table, known or target_states)
-        if known:
-            entered = self.enter(left, table, target_states & ~known)
-        return self.mask_of(entered)
+        return self.mask_of(self.counts(table, target_states)[1])
 
     def pre_ce(self, target_states):
         """States with some enabled coalition action surely entering the target."""

@@ -225,7 +225,7 @@ def _search(stats, walk, f, idx, qmask):
     if isinstance(f, CanNext):
         # Evaluate the operand on the successors of everything any coalition
         # member confuses with the states of interest, reusing its full set.
-        post = idx.post(idx.closure(interest))
+        post = walk.model.post_mask(idx.closure(interest))
         target = walk.memo.get(f.sub)
         target = walk.sat(f.sub, post) if target is None else target & post
         if interest == 0:

@@ -15,7 +15,9 @@ rests on that order.
 The transition relation is stored once, as successor rows
 (:attr:`Icgs.rows`): per state, an ``array('i')`` with the successor
 position of each joint action in ``itertools.product`` order over the
-agents' sorted protocols.  Every coalition index of the model reads them.
+state's menus, :attr:`Icgs.menus`.  The model owns that layout: every
+reader of the rows, each coalition index included, takes its menus from
+there.
 :attr:`Icgs.transition` derives a new dictionary from the rows on every
 access, so a caller reads it once, outside any loop.
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
+import math
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -67,11 +70,14 @@ class Icgs:
     observation token, and ``labels`` a map from state to atomic
     propositions.
 
-    The transitions are kept only as :attr:`rows`: per state position, an
+    :attr:`menus` holds, per state position, the tuple of every agent's
+    sorted menu there (its protocol without duplicates, empty where none is
+    given), in model order; states with equal menus share one tuple.  The
+    transitions are kept only as :attr:`rows`: per state position, an
     ``array('i')`` with the successor position of each joint action in
-    ``itertools.product`` order of the agents' protocols (sorted tuples),
-    -1 where the transition is missing, -2 where it leads to an undeclared
-    state; None where some agent has no enabled action.  ``transition`` is
+    ``itertools.product`` order of the state's menus, -1 where the
+    transition is missing, -2 where it leads to an undeclared state; None
+    where some agent has no enabled action.  ``transition`` is
     anything ``dict()`` accepts, a mapping or an iterable of (key, successor)
     pairs, read once straight into the rows: no way of building a model
     builds a transition dictionary, and a later pair for a key wins.  A
@@ -112,6 +118,11 @@ class Icgs:
                     issues.append(ValidationIssue(
                         DUPLICATE_ACTION, "protocol of %r in %r lists an action "
                         "more than once: %r" % (ag, q, sorted(listed))))
+        per_agent = [self.protocol.get(ag, {}) for ag in self.agents]
+        shared = {}
+        self.menus = tuple(shared.setdefault(menus, menus) for menus in (
+            tuple([per_state.get(q, ()) for per_state in per_agent])
+            for q in self.states))
         if (rows is None) == (transition is None):
             raise ModelError("give the transitions either as a mapping or as rows")
         self.rows = self._fill(transition) if rows is None else self._check_rows(rows)
@@ -134,11 +145,9 @@ class Icgs:
         undeclared (they read -2, so they are not reported missing too), are
         recorded as dangling after the pass."""
         code = self._state_pos.get
-        protocols = [self.protocol.get(ag, {}) for ag in self.agents]
         tables = {}  # menus -> {joint action: row slot}
         slots = []
-        for q in self.states:
-            menus = tuple([per_state.get(q, ()) for per_state in protocols])
+        for menus in self.menus:
             table = tables.get(menus)
             if table is None:
                 table = tables[menus] = dict(
@@ -189,12 +198,9 @@ class Icgs:
         action, and every entry is -1 or a state position."""
         if len(rows) != len(self.states):
             raise ModelError("%d rows for %d states" % (len(rows), len(self.states)))
-        protocols = [self.protocol.get(ag, {}) for ag in self.agents]
         last = len(self.states) - 1
-        for q, row in zip(self.states, rows):
-            width = 1
-            for per_state in protocols:
-                width *= len(per_state.get(q, ()))
+        for q, menus, row in zip(self.states, self.menus, rows):
+            width = math.prod(map(len, menus))
             if row is None and width == 0:
                 continue
             if row is None or width == 0 or len(row) != width:
@@ -220,13 +226,24 @@ class Icgs:
         (fitting no row, or leading to an undeclared state) are not in it.
         """
         states = self.states
-        protocols = [self.protocol.get(ag, {}) for ag in self.agents]
         out = {}
-        for q, row in zip(states, self.rows):
+        for q, menus, row in zip(states, self.menus, self.rows):
             if row is not None:
-                keys = zip(itertools.repeat(q),
-                           itertools.product(*[per_state[q] for per_state in protocols]))
+                keys = zip(itertools.repeat(q), itertools.product(*menus))
                 out.update((key, states[t]) for key, t in zip(keys, row) if t >= 0)
+        return out
+
+    def post_mask(self, qmask) -> int:
+        """The mask of every successor of the states of ``qmask`` under any
+        joint action, read from their rows."""
+        out = 0
+        rows = self.rows
+        for i in bits(qmask):
+            row = rows[i]
+            if row is not None:
+                for t in set(row):
+                    if t >= 0:
+                        out |= 1 << t
         return out
 
     # -- identity -----------------------------------------------------------
@@ -578,10 +595,9 @@ def validate(model: Icgs):
 
     # Transitions: defined for every enabled joint action.  Entries that fit
     # no row were reported at construction.
-    for q, row in zip(model.states, model.rows):
+    for q, menus, row in zip(model.states, model.menus, model.rows):
         if row is not None and -1 in row:
-            proto = [model.protocol[ag][q] for ag in model.agents]
-            for joint, t in zip(itertools.product(*proto), row):
+            for joint, t in zip(itertools.product(*menus), row):
                 if t == -1:
                     issues.append(ValidationIssue(
                         MISSING_TRANSITION,
@@ -632,8 +648,7 @@ def moves_of(model: Icgs, coalition, qs: StateSet) -> MoveSet:
 
 def post_states(model: Icgs, qs: StateSet) -> StateSet:
     """All one-step successors of states of ``qs`` (any joint action)."""
-    idx = model.index(())
-    return StateSet(model, idx.post(state_mask(model, qs)))
+    return StateSet(model, model.post_mask(state_mask(model, qs)))
 
 
 def gamma_closure(model: Icgs, coalition, qs: StateSet) -> StateSet:
@@ -663,7 +678,7 @@ def step(model: Icgs, state, joint) -> str:
     order.  Raises :class:`DisabledJointAction` unless every component is
     enabled, and :class:`UnknownAgent` for a key the model does not know.
     """
-    model.state_position(state)
+    i = model.state_position(state)
     if isinstance(joint, Mapping):
         model.coalition(joint)
         missing = [ag for ag in model.agents if ag not in joint]
@@ -673,13 +688,12 @@ def step(model: Icgs, state, joint) -> str:
     else:
         joint = _full_joint(model, joint)
     slot = 0  # the joint action's position in the state's row
-    for ag, a in zip(model.agents, joint):
-        acts = model.protocol.get(ag, {}).get(state, ())
+    for ag, a, acts in zip(model.agents, joint, model.menus[i]):
         if a not in acts:
             raise DisabledJointAction(
                 "action %r of agent %r is not enabled in state %r" % (a, ag, state))
         slot = slot * len(acts) + acts.index(a)
-    t = model.rows[model._state_pos[state]][slot]
+    t = model.rows[i][slot]
     if t < 0:
         raise DisabledJointAction(
             "no transition from %r under %r" % (state, joint))
@@ -689,8 +703,8 @@ def step(model: Icgs, state, joint) -> str:
 def with_perfect_information(model: Icgs) -> Icgs:
     """A copy of the model where every agent observes the exact state.
 
-    The copy shares the model's rows, protocols and the issues recorded at
-    construction, and builds its own coalition indexes.
+    The copy shares the model's rows, menus, protocols and the issues
+    recorded at construction, and builds its own coalition indexes.
     """
     pi = copy.copy(model)
     pi.observation = {ag: {q: q for q in model.states} for ag in model.agents}

@@ -347,15 +347,15 @@ def _text_chunks(model: Icgs):
     yield header[:-3]
     agents = model.agents
     order = sorted(range(len(agents)), key=agents.__getitem__)
-    protocols = [model.protocol.get(ag, {}) for ag in agents]
     targets = [esc(q) + "\n    ]" for q in model.states]
     joints = {}  # menus -> (joint texts in canonical order, their row slots)
     sep = ""
     for q in sorted(model.states):
-        row = model.rows[model._state_pos[q]]
+        i = model._state_pos[q]
+        row = model.rows[i]
         if row is None:
             continue
-        menus = tuple(per_state[q] for per_state in protocols)
+        menus = model.menus[i]
         known = joints.get(menus)
         if known is None:
             known = joints[menus] = _joint_texts(agents, menus, order)
@@ -658,12 +658,11 @@ def gen_castles(n1: int, n2: int, n3: int) -> Icgs:
 
 def model_depth(model: Icgs) -> int:
     """Steps needed to reach every reachable state from the initial ones."""
-    idx = model.index(())
     seen = model.state_set(model.initial).mask
     depth = 0
     frontier = seen
     while True:
-        new = idx.post(frontier) & ~seen
+        new = model.post_mask(frontier) & ~seen
         if new == 0:
             return depth
         seen |= new

@@ -1,18 +1,20 @@
 """Ground-truth evaluators for small models.
 
-Three independent routes to the same semantics:
+The uniform semantics is read directly, independently of the checker's
+search, by two building blocks and their combination:
 
 - :func:`enumerate_uniform` lists every uniform memoryless strategy of a
   coalition (one action per agent per observation class), capped because the
   count is exponential.
 - :func:`strategy_sat_u` decides a reach-through objective under one fixed
   strategy with a plain least fixpoint over the pruned transition relation.
-- :func:`oracle_eval` combines the two into a direct reading of the
-  semantics: a state satisfies a strategic formula iff some uniform strategy
-  wins from every state any coalition member confuses with it.
-- :func:`perfect_info_eval` evaluates the same formulas as if every agent
-  observed the exact state (plain alternating fixpoints); uniform results
-  are always a subset of these.
+- :func:`oracle_eval` combines the two: a state satisfies a strategic
+  formula iff some uniform strategy wins from every state any coalition
+  member confuses with it.
+
+Beside it, :func:`perfect_info_eval` evaluates the same formulas under a
+different semantics, as if every agent observed the exact state (plain
+alternating fixpoints); uniform results are always a subset of its own.
 
 Both evaluators run the checker's fold, :class:`atlir.checker.Walk`, with
 their own solver for the strategic operators and a memo for one call.
@@ -118,10 +120,8 @@ def _succ_table(model, gamma):
     shared by every strategy of the coalition."""
     model.coalition(gamma)  # unknown agents raise
     where = [model._agent_pos[ag] for ag in gamma]
-    protocols = [model.protocol.get(ag, {}) for ag in model.agents]
     table = []
-    for q, row in zip(model.states, model.rows):
-        menus = [per_state.get(q, ()) for per_state in protocols]
+    for menus, row in zip(model.menus, model.rows):
         succ = dict.fromkeys(itertools.product(*(menus[p] for p in where)), 0)
         if row is not None:
             for joint, t in zip(itertools.product(*menus), row):

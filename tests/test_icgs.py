@@ -451,6 +451,32 @@ def test_post_states_monotone():
         assert post_states(model, small) <= post_states(model, big)
 
 
+def test_post_states_builds_no_coalition_index():
+    # successors are read from the rows, not from the empty coalition's index
+    model = modelio.gen_cardgame()
+    assert len(post_states(model, model.all_states())) > 0
+    assert model._indexes == {}
+
+
+# -- menus --------------------------------------------------------------------
+
+def test_states_with_equal_menus_share_one_tuple():
+    # per state, every agent's sorted menu in model order, () where the
+    # protocol gives none; one tuple per distinct value
+    protocol = {"g": {"u": ["b", "a", "a"], "v": ["a", "b"], "w": ["b", "a"]},
+                "h": {"u": ["c"], "w": ["c"]}}
+    model = icgs.Icgs(["g", "h"], ["u", "v", "w"], ["u"], {"g": ["a", "b"], "h": ["c"]},
+                      protocol, {}, {}, {})
+    assert model.menus == ((("a", "b"), ("c",)), (("a", "b"), ()), (("a", "b"), ("c",)))
+    assert model.menus[0] is model.menus[2]
+    castles = modelio.gen_castles(1, 1, 2)
+    shared = {}
+    for q, menus in zip(castles.states, castles.menus):
+        assert menus == tuple(castles.protocol[ag][q] for ag in castles.agents)
+        assert shared.setdefault(menus, menus) is menus
+    assert len(shared) < len(castles.states)
+
+
 # -- gamma_closure ----------------------------------------------------------
 
 def test_player_confuses_deals_with_same_card(cardgame):

@@ -129,6 +129,21 @@ def test_no_move_keeps_a_successor_mask():
             if "succ_mask" in path.read_text()] == []
 
 
+def test_the_model_owns_the_joint_action_layout():
+    # the engine takes each state's menus and the post relation from the
+    # model, and finds a move id within its state's move range
+    tree = _tree(SRC / "_index.py")
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "protocol"] == []
+    index, = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "CoalitionIndex"]
+    names = {node.name for node in index.body if isinstance(node, ast.FunctionDef)}
+    names.update(node.attr for node in ast.walk(index)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                 and ast.unparse(node.value) == "self")
+    assert names & {"post_mask", "post", "_lookup"} == set()
+
+
 def test_the_loader_decodes_no_whole_document():
     # modelio reads a document with the scanner, one member or transition
     # entry at a time; a whole-document decoder would bring its tree back

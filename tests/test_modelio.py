@@ -572,6 +572,12 @@ def test_castles_depth_larger_with_one_worker_each(castles111, castles112):
     assert model_depth(gen_castles(2, 1, 1)) == model_depth(castles112)
 
 
+def test_model_depth_builds_no_coalition_index():
+    model = gen_castles(1, 1, 1)
+    assert model_depth(model) > 0
+    assert model._indexes == {}
+
+
 def test_castles_depth_constant_at_larger_sizes(castles112):
     bigger = gen_castles(1, 2, 2)
     assert validate(bigger) == []
