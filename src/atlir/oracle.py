@@ -1,16 +1,21 @@
 """Ground-truth evaluators for small models.
 
 The uniform semantics is read directly, independently of the checker's
-search, by two building blocks and their combination:
+search:
 
 - :func:`enumerate_uniform` lists every uniform memoryless strategy of a
   coalition (one action per agent per observation class), capped because the
   count is exponential.
 - :func:`strategy_sat_u` decides a reach-through objective under one fixed
   strategy with a plain least fixpoint over the pruned transition relation.
-- :func:`oracle_eval` combines the two: a state satisfies a strategic
-  formula iff some uniform strategy wins from every state any coalition
-  member confuses with it.
+- :func:`oracle_eval`: a state satisfies a strategic formula iff some
+  uniform strategy wins from every state any coalition member confuses with
+  it.  It enumerates the same strategies in the same order, as flat tuples
+  of one action per (agent, observation class) slot, and runs the same
+  fixpoint.  Per strategic node it builds its own tables from the model:
+  each state's successor masks keyed by the coalition's actions there, read
+  from ``model.rows``, and each state's closure, read from the
+  observations.  From the coalition index it takes only the coalition.
 
 Beside it, :func:`perfect_info_eval` evaluates the same formulas under a
 different semantics, as if every agent observed the exact state (plain
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -71,8 +77,8 @@ class UniformStrategy:
 
 def count_uniform(model: Icgs, coalition) -> int:
     """The number of uniform strategies of the coalition."""
-    return math.prod(len(acts) for ag in model.coalition(coalition)
-                     for _, acts in _classes(model, ag))
+    return math.prod(len(acts) for _, _, acts in
+                     _slots(model, model.coalition(coalition), math.inf))
 
 
 def _classes(model, agent):
@@ -87,6 +93,21 @@ def _classes(model, agent):
             for tok in sorted(reps, key=lambda tok: (tok is not None, tok))]
 
 
+def _slots(model, gamma, cap):
+    """The enumeration layout: one (agent position, token, enabled actions)
+    slot per observation class of each agent of ``gamma``, agent by agent.
+    A strategy is one action per slot, and strategies come in
+    ``itertools.product`` order over the slots.  Raises
+    :class:`EnumerationCapExceeded` when the strategy count exceeds ``cap``."""
+    per_agent = [_classes(model, ag) for ag in gamma]
+    total = math.prod(len(acts) for classes in per_agent for _, acts in classes)
+    if total > cap:
+        raise EnumerationCapExceeded(
+            "%d uniform strategies exceed the cap of %d" % (total, cap))
+    return [(a, tok, acts) for a, classes in enumerate(per_agent)
+            for tok, acts in classes]
+
+
 def enumerate_uniform(model: Icgs, coalition, cap: int = DEFAULT_CAP):
     """Iterate every uniform strategy exactly once, in deterministic order.
 
@@ -94,16 +115,9 @@ def enumerate_uniform(model: Icgs, coalition, cap: int = DEFAULT_CAP):
     strategy count exceeds ``cap``.
     """
     gamma = model.coalition(coalition)
-    per_agent = [_classes(model, ag) for ag in gamma]
-    total = math.prod(len(acts) for classes in per_agent for _, acts in classes)
-    if total > cap:
-        raise EnumerationCapExceeded(
-            "%d uniform strategies exceed the cap of %d" % (total, cap))
+    slots = _slots(model, gamma, cap)
 
     def generate():
-        slots = [(a, tok, acts)
-                 for a, classes in enumerate(per_agent)
-                 for tok, acts in classes]
         for combo in itertools.product(*(acts for _, _, acts in slots)):
             assignment = [[] for _ in gamma]
             for (a, tok, _), act in zip(slots, combo):
@@ -177,30 +191,87 @@ def oracle_eval(model: Icgs, f, cap: int = DEFAULT_CAP) -> StateSet:
 
 
 def _enumerate(cap, walk, f, idx, within):
+    """The strategic node's states won by some uniform strategy of its
+    coalition from every state a coalition member confuses with them.  A
+    strategy is the tuple of one action per :func:`_slots` slot; the
+    successor tables and the closure are the oracle's own, built once per
+    node, and the index gives nothing but the coalition."""
     model = walk.model
-    full = model._all_mask
+    slots = _slots(model, idx.gamma, cap)
+    picks_at, lookups, closure = _strategy_tables(model, idx.gamma, slots)
     if isinstance(f, CanNext):
-        target = walk.full(f.sub)
+        missed = ~walk.full(f.sub)
 
         def winning(succ):
-            good = 0
-            for i in range(idx.n_states):
-                if succ[i] & ~target == 0:
-                    good |= 1 << i
-            return good
+            won = 0
+            for i, s in enumerate(succ):
+                if not s & missed:
+                    won |= 1 << i
+            return won
     else:
         q1, q2 = walk.full(f.lhs), walk.full(f.rhs)
 
         def winning(succ):
             return _sat_u(succ, q1, q2)
-    table = _succ_table(model, idx.gamma)
+    full = model._all_mask
     sat = 0
-    for strategy in enumerate_uniform(model, idx.gamma, cap):
-        sat |= idx.closed_within(full & ~sat,
-                                 winning(_strategy_succ(model, strategy, table)))
-        if sat == full:
-            break
+    for combo in itertools.product(*(acts for _, _, acts in slots)):
+        try:
+            succ = [table[pick(combo)] for pick, table in lookups]
+        except KeyError:
+            raise _disabled(model, picks_at, lookups, combo) from None
+        win = winning(succ)
+        new = win & ~sat
+        if new:
+            lost = ~win
+            for i in bits(new):
+                if not closure[i] & lost:
+                    sat |= 1 << i
+            if sat == full:
+                break
     return sat & within
+
+
+def _strategy_tables(model, gamma, slots):
+    """Per state: the slots its coalition actions are read from, a pair
+    (getter of those actions from a strategy tuple, table from those actions
+    to the successor mask over every completion) and the states some agent
+    of ``gamma`` confuses with it (its own class per agent, token ``None``
+    one class).  The tables are read from ``model.rows``; a table's keys
+    are what the getter returns, an action for one agent, a tuple for more."""
+    slot_of = {(a, tok): k for k, (a, tok, _) in enumerate(slots)}
+    where = [model._agent_pos[ag] for ag in gamma]
+    joint_key = operator.itemgetter(*where)
+    pick_key = operator.itemgetter(*range(len(where)))
+    tokens = [[model.observation.get(ag, {}).get(q) for q in model.states]
+              for ag in gamma]
+    picks_at, lookups = [], []
+    for i, (menus, row) in enumerate(zip(model.menus, model.rows)):
+        at = [slot_of[a, toks[i]] for a, toks in enumerate(tokens)]
+        succ = dict.fromkeys(
+            map(pick_key, itertools.product(*(menus[p] for p in where))), 0)
+        for key, t in zip(map(joint_key, itertools.product(*menus)), row or ()):
+            if t >= 0:
+                succ[key] |= 1 << t
+        picks_at.append(at)
+        lookups.append((operator.itemgetter(*at), succ))
+    closure = [0] * len(model.states)
+    for toks in tokens:
+        members = {}
+        for i, tok in enumerate(toks):
+            members[tok] = members.get(tok, 0) | 1 << i
+        closure = [mask | members[tok] for mask, tok in zip(closure, toks)]
+    return picks_at, lookups, closure
+
+
+def _disabled(model, picks_at, lookups, combo):
+    """The error for the first state where the strategy ``combo`` picks a
+    coalition action that is not enabled."""
+    for q, at, (pick, succ) in zip(model.states, picks_at, lookups):
+        if pick(combo) not in succ:
+            return DisabledJointAction(
+                "coalition action %r is not enabled in state %r"
+                % (tuple(combo[k] for k in at), q))
 
 
 def perfect_info_eval(model: Icgs, f) -> StateSet:

@@ -213,6 +213,14 @@ def test_deeply_nested_formula_exits_two_without_traceback(capsys, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_oracle_over_its_cap_exits_two_with_one_error_line(capsys):
+    code, out, err = run(capsys, "check", "--gen", "cardgame", "--oracle",
+                         "--cap", "7", "<<player>> F win")
+    assert code == 2
+    assert out == ""
+    assert err == "error: 8 uniform strategies exceed the cap of 7\n"
+
+
 def test_unexpected_exception_exits_two(capsys, monkeypatch):
     import atlir.cli
 

@@ -157,3 +157,22 @@ def test_the_loader_decodes_no_whole_document():
               and "json" in (node.module or "") for alias in node.names
               if alias.name in whole]
     assert found == []
+
+
+def test_the_oracle_takes_nothing_but_the_coalition_from_the_index():
+    # The enumeration builds its own successor tables and closure, so a fault
+    # in the engine's tables cannot make the checker and its ground truth
+    # agree.  The perfect-information evaluator is another semantics: it
+    # runs the engine's fixpoints.
+    tree = _tree(SRC / "oracle.py")
+    solvers = {node.name: node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("_enumerate", "_fixpoints")}
+    uses = {}
+    for name, solver in solvers.items():
+        reads = {id(node.value): node.attr for node in ast.walk(solver)
+                 if isinstance(node, ast.Attribute)}
+        uses[name] = sorted({reads.get(id(node)) for node in ast.walk(solver)
+                             if isinstance(node, ast.Name) and node.id == "idx"},
+                            key=str)
+    assert uses == {"_enumerate": ["gamma"], "_fixpoints": ["filter_ceu", "pre_ce"]}

@@ -2,15 +2,30 @@
 
 import itertools
 import random
+from functools import partial
 
 import pytest
 
-from atlir.checker import check, evaluate
-from atlir.errors import EnumerationCapExceeded, IncompleteStrategy
-from atlir.formula import TRUE, Atom, CanNext, CanUntil, Not, normalize, parse
+from atlir import oracle
+from atlir.checker import Walk, _normalized, check, evaluate
+from atlir.errors import DisabledJointAction, EnumerationCapExceeded, IncompleteStrategy
+from atlir.formula import (
+    TRUE,
+    Atom,
+    CanEventually,
+    CanNext,
+    CanUntil,
+    Not,
+    normalize,
+    parse,
+)
 from atlir.icgs import gamma_closure, with_perfect_information
 from atlir.oracle import (
+    DEFAULT_CAP,
     UniformStrategy,
+    _sat_u,
+    _strategy_succ,
+    _succ_table,
     count_uniform,
     enumerate_uniform,
     oracle_eval,
@@ -245,3 +260,143 @@ def test_an_unobserved_state_is_one_class_for_the_oracle():
     assert count_uniform(model, ["g"]) == 2
     assert [s.assignment for s in enumerate_uniform(model, ["g"])] == [
         (((None, "a"), ("t", "a"), ("u", action)),) for action in ("a", "b")]
+
+
+# -- the slot-tuple enumeration against the strategy-object reference ------------
+
+def ref_enumerate(cap, walk, f, idx, within):
+    """The oracle's solver with one :class:`UniformStrategy` per strategy:
+    its successors read through ``_strategy_succ`` and its closure test
+    from the coalition index."""
+    model = walk.model
+    full = model._all_mask
+    if isinstance(f, CanNext):
+        target = walk.full(f.sub)
+
+        def winning(succ):
+            good = 0
+            for i in range(idx.n_states):
+                if succ[i] & ~target == 0:
+                    good |= 1 << i
+            return good
+    else:
+        q1, q2 = walk.full(f.lhs), walk.full(f.rhs)
+
+        def winning(succ):
+            return _sat_u(succ, q1, q2)
+    table = _succ_table(model, idx.gamma)
+    sat = 0
+    for strategy in enumerate_uniform(model, idx.gamma, cap):
+        sat |= idx.closed_within(full & ~sat,
+                                 winning(_strategy_succ(model, strategy, table)))
+        if sat == full:
+            break
+    return sat & within
+
+
+def ref_oracle_eval(model, f, cap=DEFAULT_CAP):
+    walk = Walk(model, partial(ref_enumerate, cap), {})
+    return walk.sat(_normalized(model, f), model._all_mask)
+
+
+def _small(model, limit):
+    """Whether every coalition of one or two agents has at most ``limit``
+    uniform strategies."""
+    return all(count_uniform(model, gamma) <= limit
+               for size in (1, 2)
+               for gamma in itertools.combinations(model.agents, size))
+
+
+def test_oracle_matches_the_reference_on_the_corpus():
+    rng = random.Random(151)
+    models = pairs = 0
+    while models < 300:
+        model = random_model(rng)
+        if not _small(model, 500):
+            continue
+        models += 1
+        operands = [Atom(a) for a in sorted(model.atoms)] + [TRUE]
+        operands.append(Not(rng.choice(operands)))
+        coalitions = [(rng.choice(model.agents),)]
+        if len(model.agents) > 1:
+            coalitions.append(tuple(rng.sample(model.agents, 2)))
+        formulas = [random_formula(rng, model, depth=2)]
+        for gamma in coalitions:
+            lhs, rhs = rng.choice(operands), rng.choice(operands)
+            formulas += [CanNext(gamma, rhs), CanEventually(gamma, rhs),
+                         CanUntil(gamma, lhs, rhs)]
+        for f in formulas:
+            assert oracle_eval(model, f).mask == ref_oracle_eval(model, f), f
+            pairs += 1
+    assert pairs > 1500
+
+
+def test_oracle_matches_the_reference_on_the_card_game(cardgame):
+    for text in ("<<player>> F win", "<<player>> X !win", "<<dealer>> F win",
+                 "<<dealer,player>> F win", "<<dealer,player>> (!win U win)",
+                 "<<player>> X <<dealer,player>> X win", "!<<player>> F !win"):
+        assert oracle_eval(cardgame, text).mask == ref_oracle_eval(cardgame, text)
+
+
+def test_oracle_matches_the_reference_on_castles(castles111):
+    # A one-agent node of castles 1,1,1 has 82,944 strategies, and on the
+    # model's atoms none but a trivial one wins every state: the whole
+    # enumeration takes the reference half a minute.  Here every state's
+    # successor lookup and the closure are held to the reference's along the
+    # first strategies of the enumeration order, and a node that its first
+    # strategy decides runs whole.
+    gamma = ("c1w1",)
+    slots = oracle._slots(castles111, gamma, DEFAULT_CAP)
+    _, lookups, closure = oracle._strategy_tables(castles111, gamma, slots)
+    assert closure == castles111.index(gamma).closure_of
+    table = _succ_table(castles111, gamma)
+    combos = itertools.product(*(acts for _, _, acts in slots))
+    for combo, strategy in itertools.islice(
+            zip(combos, enumerate_uniform(castles111, gamma)), 300):
+        assert [succ[pick(combo)] for pick, succ in lookups] == _strategy_succ(
+            castles111, strategy, table)
+    text = "<<c1w1>> F (castle3_defeated | !castle3_defeated)"
+    assert oracle_eval(castles111, text).mask == ref_oracle_eval(castles111, text)
+
+
+# -- the enumeration's error paths ----------------------------------------------
+
+def test_the_cap_stops_the_oracle_before_any_table_or_strategy(cardgame, monkeypatch):
+    def untouched(*args):
+        raise AssertionError("reached past the cap")
+    monkeypatch.setattr(oracle, "_strategy_tables", untouched)
+    monkeypatch.setattr(oracle, "_sat_u", untouched)
+    for text in ("<<player>> F win", "<<player>> X win"):
+        with pytest.raises(EnumerationCapExceeded,
+                           match="8 uniform strategies exceed the cap of 7"):
+            oracle_eval(cardgame, text, cap=7)
+    monkeypatch.undo()
+    assert oracle_eval(cardgame, "<<player>> F win", cap=8) == oracle_eval(
+        cardgame, "<<player>> F win")
+
+
+def _split_protocol(agents):
+    # g cannot tell s0 from s1 but may pick b only in s0; the class's
+    # actions are read in s0, so the strategy that picks b is not enabled
+    # in s1.  Its first strategy, a everywhere, wins no state.
+    protocol = {"g": {"s0": ["a", "b"], "s1": ["a"]}, "h": {"s0": ["c"], "s1": ["c"]}}
+    transition = {}
+    for q, succ in (("s0", "s1"), ("s1", "s1")):
+        for joint in itertools.product(*(protocol[ag][q] for ag in agents)):
+            transition[(q, joint)] = succ
+    observation = {"g": {"s0": "o", "s1": "o"}, "h": {"s0": "o0", "s1": "o1"}}
+    return make_model(agents, ["s0", "s1"], {ag: protocol[ag] for ag in agents},
+                      transition, {ag: observation[ag] for ag in agents},
+                      {"s0": ["p"]})
+
+
+@pytest.mark.parametrize("agents, picks", [
+    (["g"], "('b',)"), (["g", "h"], "('b', 'c')")])
+def test_an_action_disabled_inside_its_class_is_reported(agents, picks):
+    model = _split_protocol(agents)
+    message = "coalition action %s is not enabled in state 's1'" % picks
+    for f in (CanNext(tuple(agents), Atom("p")), CanEventually(tuple(agents), Atom("p"))):
+        for evaluator in (oracle_eval, ref_oracle_eval):
+            with pytest.raises(DisabledJointAction) as caught:
+                evaluator(model, f)
+            assert str(caught.value) == message
