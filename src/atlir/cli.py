@@ -61,14 +61,26 @@ def _build_parser():
                               "by default only the initial states are "
                               "classified, which decides the verdict and is "
                               "far cheaper on models with coarse observations")
-    check_p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP,
-                         help="strategy-enumeration cap for --oracle")
+    check_p.add_argument("--cap", type=_count, default=oracle.DEFAULT_CAP,
+                         help="strategy-enumeration cap for --oracle "
+                              "(a count of 0 or more)")
 
     gen_p = sub.add_parser("gen", help="write a generated model document")
     gen_p.add_argument("spec", metavar="SPEC",
                        help="cardgame or castles:N1,N2,N3")
     gen_p.add_argument("-o", "--output", required=True, metavar="FILE")
     return parser
+
+
+def _count(text: str) -> int:
+    """A command-line count of 0 or more; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError("%r is not a count of 0 or more" % text)
+    return value
 
 
 def _generate(spec: str):

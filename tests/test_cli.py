@@ -111,6 +111,27 @@ def test_bad_formula_exits_two(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("cap", ["-1", "x", "2.5"])
+def test_a_cap_that_is_no_count_is_a_usage_error(capsys, monkeypatch, cap):
+    def never(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+    monkeypatch.setattr(cli.oracle, "oracle_eval", never)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--gen", "cardgame", "--cap", cap, "--oracle",
+              "<<player>> F win"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: atlir check")
+    assert "argument --cap: %r is not a count of 0 or more" % cap in err
+
+
+def test_a_cap_of_zero_is_a_count(capsys):
+    code, _, err = run(capsys, "check", "--gen", "cardgame", "--cap", "0",
+                       "--oracle", "<<player>> F win")
+    assert code == 2
+    assert "exceed the cap of 0" in err
+
+
 def test_unknown_model_file_exits_two(capsys):
     code, _, err = run(capsys, "check", "--model", "/nonexistent.icgs.json", "true")
     assert code == 2

@@ -145,8 +145,9 @@ def test_the_model_owns_the_joint_action_layout():
 
 
 def test_the_loader_decodes_no_whole_document():
-    # modelio reads a document with the scanner, one member or transition
-    # entry at a time; a whole-document decoder would bring its tree back
+    # modelio reads a document with the scanner, one member or one block of
+    # transition entries at a time; a whole-document decoder would bring
+    # its tree back
     tree = _tree(SRC / "modelio.py")
     whole = {"load", "loads", "decode", "raw_decode"}
     found = [ast.unparse(node) for node in ast.walk(tree)

@@ -1,5 +1,6 @@
 """Document round-trips and the two benchmark generators."""
 
+import inspect
 import itertools
 import json
 import random
@@ -9,6 +10,7 @@ from collections import Counter
 
 import pytest
 
+from atlir import modelio
 from atlir.errors import AtlirError, CapExceeded, DocumentError, ModelError
 from atlir.icgs import (
     NONDETERMINISTIC_TRANSITION,
@@ -164,8 +166,8 @@ def test_loads_holds_no_document_tree(castles112):
     finally:
         tracemalloc.stop()
     assert model == castles112
-    # the transitions are read one entry at a time; the decoded tree of the
-    # whole 13.8 MB document took about 50 MB
+    # the transitions are read a block of entries at a time; the decoded
+    # tree of the whole 13.8 MB document took about 50 MB
     assert peak < 5_000_000
 
 
@@ -769,6 +771,99 @@ def test_loader_agrees_with_the_reference_loader(cardgame, castles111):
         outcomes[got[0] if isinstance(got, tuple) else Icgs] += 1
     # every outcome is hit: models, document errors and model errors
     assert set(outcomes) == {Icgs, DocumentError, ModelError}
+
+
+# -- block decoding --------------------------------------------------------------
+
+# Block lengths at which the card game's transitions are read one entry at a
+# time (no cut within two characters), mostly one or two entries per block
+# (by layout), several per block, and the default, at which its whole array
+# is one tail block.
+_BLOCKS = (1, 40, 100, 400, modelio._BLOCK)
+
+
+@pytest.mark.parametrize("block", _BLOCKS[:-1])
+@pytest.mark.parametrize("check", [
+    test_syntax_errors_are_placed_as_json_places_them,
+    test_every_corruption_json_rejects_is_a_document_error,
+    test_a_duplicate_top_level_key_is_a_document_error,
+    test_an_over_nested_document_is_a_document_error,
+    test_loader_agrees_with_the_reference_loader,
+], ids=lambda check: check.__name__[len("test_"):])
+def test_the_loader_checks_hold_for_short_blocks(check, block, monkeypatch,
+                                                 request):
+    monkeypatch.setattr(modelio, "_BLOCK", block)
+    check(*map(request.getfixturevalue, inspect.signature(check).parameters))
+
+
+def _compact(text):
+    """A document's text without whitespace; no name in it holds any."""
+    return "".join(text.split())
+
+
+@pytest.mark.parametrize("block", _BLOCKS)
+def test_a_member_after_the_transitions_is_no_entry(cardgame, castles111,
+                                                    block, monkeypatch):
+    # castles 1,1,1 has 1.8 MB of transitions: many default blocks
+    monkeypatch.setattr(modelio, "_BLOCK", block)
+    for model in (cardgame, castles111):
+        for extra in ([1], [[1], "],"]):
+            doc = {**to_document(model), "zz": extra}
+            text = json.dumps(doc, indent=2)
+            assert loads(text) == loads(_compact(text)) == model
+
+
+def _renamed(value, rename):
+    """``value`` with every string that ``rename`` maps replaced, keys too."""
+    if isinstance(value, dict):
+        return {rename.get(k, k): _renamed(v, rename) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_renamed(v, rename) for v in value]
+    return rename.get(value, value) if isinstance(value, str) else value
+
+
+@pytest.mark.parametrize("block", _BLOCKS)
+def test_a_cut_inside_a_state_name_is_read_again(cardgame, block, monkeypatch):
+    doc = to_document(cardgame)
+    rename = {q: q + '"],[' * 30 for q in doc["states"]}
+    doc = _renamed(doc, rename)
+    reread = []
+    each = modelio._each
+
+    def recording(text, pos, stop):
+        reread.append(pos)
+        return (yield from each(text, pos, stop))
+    monkeypatch.setattr(modelio, "_BLOCK", block)
+    monkeypatch.setattr(modelio, "_each", recording)
+    for text in (json.dumps(doc, indent=2), json.dumps(doc, separators=(",", ":"))):
+        model = loads(text)
+        assert model == from_document(json.loads(text))
+        assert sorted(model.states) == sorted(rename.values())
+    if block == 40:  # the first cut falls inside the first entry's source
+        assert reread
+
+
+@pytest.mark.parametrize("compact", [False, True], ids=["indented", "compact"])
+def test_loads_is_from_document_of_the_decoded_text(cardgame, castles111,
+                                                    castles112, compact):
+    for model in (cardgame, castles111, castles112):
+        text = _compact(dumps(model)) if compact else dumps(model)
+        assert loads(text) == from_document(json.loads(text)) == model
+
+
+def test_loads_makes_one_scanner_call_per_block(castles112, monkeypatch):
+    text = dumps(castles112)
+    calls = []
+    scan = modelio._scan
+
+    def counting(string, pos):
+        calls.append(pos)
+        return scan(string, pos)
+    monkeypatch.setattr(modelio, "_scan", counting)
+    assert loads(text) == castles112
+    # the seven header members, the blocks (each at least a block long) and
+    # the tail; one call per entry made more than 76,088
+    assert len(calls) <= 7 + len(text) // modelio._BLOCK + 1
 
 
 def test_castles_caps():
